@@ -106,7 +106,12 @@ double strided_exchange_ms(bool pipelined, std::uint64_t* pipelined_msgs, int it
         rcounts[static_cast<std::size_t>(peer)] = payload / sizeof(double);
         rtypes[static_cast<std::size_t>(peer)] = Datatype::float64();
 
-        coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes);
+        // Chunk pipelining is a rendezvous-send mechanism; Auto would lower
+        // the plan onto RMA windows and never take the path gated here.
+        coll::CollConfig cfg;
+        cfg.persistent_protocol = rt::Protocol::Rendezvous;
+        coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes,
+                                 cfg);
         for (int it = 0; it < 5; ++it) plan.execute(src.data(), dst.data());
         c.barrier();
         benchutil::Stopwatch sw;

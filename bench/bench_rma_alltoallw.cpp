@@ -24,8 +24,8 @@
 //
 // Gate ("pass" in BENCH_rma.json, exit code otherwise): the RMA schedule
 // beats the best two-sided schedule at every gated size on both nonuniform
-// shapes, and the steady-state counter attestation holds (when the
-// NNCOMM_RMA gate is open; gated off, the attestation is skipped).
+// shapes, and the steady-state counter attestation holds (skipped under
+// NNCOMM_RMA=OFF).
 //
 // `--smoke` runs the simulated gates at one size plus the attestation,
 // writes no JSON.
@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
                     real.counters_ok ? "ATTESTED" : "FAIL");
         pass = pass && real.rma_selected && real.counters_ok;
     } else {
-        std::printf("-- real runtime attestation skipped: NNCOMM_RMA gated off --\n");
+        std::printf("-- real runtime attestation skipped: NNCOMM_RMA=OFF --\n");
     }
 
     std::printf("\nRMA gate (beats best two-sided on both nonuniform shapes, counters clean): %s\n",

@@ -145,7 +145,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     // One-sided lowering decision. It MUST be uniform across ranks — the
     // closing fence is collective, and a rank with zero local traffic
     // cannot see its peers' volumes — so it is a pure function of the
-    // config and the build/env gates, never of the traffic matrix.
+    // config and the env gate, never of the traffic matrix.
     // Protocol::Eager / Rendezvous in the config force the two-sided graph.
     bool use_rma = rt::rma_selection_enabled() &&
                    (config.persistent_protocol == rt::Protocol::Auto ||

@@ -1049,26 +1049,13 @@ void CollRequest::wait() {
     NNCOMM_CHECK_MSG(started_, "wait on an unstarted CollRequest");
     while (!pass()) {
         if (moved_) continue;
-        // Nothing runnable moved: park on a posted operation instead of
-        // spinning. Blocking on any posted op is safe — its peer's side
-        // eventually fires because every rank executes its schedule.
-        const std::size_t none = sched_.ops.size();
-        std::size_t idx = none;
-        for (std::size_t i = 0; i < sched_.ops.size(); ++i) {
-            if (state_[i] == kPosted) {
-                idx = i;
-                if (sched_.ops[i].kind == ScheduleOpKind::Recv) break;
-            }
-        }
-        NNCOMM_CHECK_MSG(idx != none,
+        NNCOMM_CHECK_MSG(std::find(state_.begin(), state_.end(), kPosted) != state_.end(),
                          "schedule stuck: no runnable and no posted operations");
-        if (sched_.ops[idx].kind == ScheduleOpKind::Fence) {
-            comm_->wait_until([this] { return win_->fence_test(); });
-        } else {
-            comm_->wait(reqs_[idx]);
-        }
-        mark_done(idx);
-        if (done_) return;
+        // Nothing runnable moved: park until any posted operation fires.
+        // Blocking on one particular op can deadlock: while this rank waits
+        // for a peer's payload, a clear-to-send arriving on another op would
+        // release the send that same peer is itself parked waiting for.
+        comm_->wait_until([this] { return pass() || moved_; });
     }
 }
 

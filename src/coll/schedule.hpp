@@ -216,9 +216,9 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
 ///                              like the blocking entry points did).
 ///   test()                   — one nonblocking progress pass; true once
 ///                              every op retired. This is the overlap hook.
-///   wait()                   — drives passes to completion, parking on
-///                              the runtime's blocking wait when a pass
-///                              makes no progress (no spinning).
+///   wait()                   — drives passes to completion, parking in
+///                              Comm::wait_until until any posted op can
+///                              fire when a pass makes no progress.
 ///
 /// Persistent plans reuse one CollRequest across executes via reset():
 /// staging buffers and pack engines survive, so the steady state performs

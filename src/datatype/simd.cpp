@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "core/env.hpp"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define NNCOMM_SIMD_X86 1
-#if !defined(NNCOMM_SIMD_DISABLED)
 #include <immintrin.h>
 #endif
-#endif
-#if defined(__aarch64__) && defined(__ARM_NEON) && !defined(NNCOMM_SIMD_DISABLED)
+#if defined(__aarch64__) && defined(__ARM_NEON)
 #define NNCOMM_SIMD_NEON_IMPL 1
 #include <arm_neon.h>
 #endif
@@ -82,7 +82,7 @@ Kernels scalar_select(std::size_t len) {
     }
 }
 
-#if defined(NNCOMM_SIMD_X86) && !defined(NNCOMM_SIMD_DISABLED)
+#if defined(NNCOMM_SIMD_X86)
 
 // ---------------------------------------------------------------------------
 // x86: AVX2 / AVX-512 kernels (function-level target attributes, so the
@@ -471,7 +471,7 @@ Kernels avx512_select(std::size_t len) {
     }
 }
 
-#endif  // NNCOMM_SIMD_X86 && !NNCOMM_SIMD_DISABLED
+#endif  // NNCOMM_SIMD_X86
 
 #if defined(NNCOMM_SIMD_NEON_IMPL)
 
@@ -568,9 +568,7 @@ Kernels neon_select(std::size_t len) {
 // detection and the environment cap
 
 Level detect() {
-#if defined(NNCOMM_SIMD_DISABLED)
-    return Level::Scalar;
-#elif defined(NNCOMM_SIMD_X86)
+#if defined(NNCOMM_SIMD_X86)
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
         __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl")) {
         return Level::AVX512;
@@ -584,25 +582,17 @@ Level detect() {
 #endif
 }
 
-bool env_matches(const char* e, const char* token) {
-    for (; *e && *token; ++e, ++token) {
-        const char a = (*e >= 'a' && *e <= 'z') ? static_cast<char>(*e - 'a' + 'A') : *e;
-        if (a != *token) return false;
-    }
-    return *e == '\0' && *token == '\0';
-}
-
 Level env_cap(Level detected) {
     const char* e = std::getenv("NNCOMM_SIMD");
     if (!e || !*e) return detected;
     Level want = detected;
-    if (env_matches(e, "OFF") || env_matches(e, "0") || env_matches(e, "SCALAR")) {
+    if (env_equals(e, "OFF") || env_equals(e, "0") || env_equals(e, "SCALAR")) {
         want = Level::Scalar;
-    } else if (env_matches(e, "NEON")) {
+    } else if (env_equals(e, "NEON")) {
         want = Level::NEON;
-    } else if (env_matches(e, "AVX2")) {
+    } else if (env_equals(e, "AVX2")) {
         want = Level::AVX2;
-    } else if (env_matches(e, "AVX512")) {
+    } else if (env_equals(e, "AVX512")) {
         want = Level::AVX512;
     } else {
         return detected;  // unrecognized: ignore
@@ -635,7 +625,7 @@ Level force_level_for_test(Level level) {
 
 Kernels select(std::size_t block_len) {
     switch (active_level()) {
-#if defined(NNCOMM_SIMD_X86) && !defined(NNCOMM_SIMD_DISABLED)
+#if defined(NNCOMM_SIMD_X86)
         case Level::AVX512: return avx512_select(block_len);
         case Level::AVX2: return avx2_select(block_len);
 #endif

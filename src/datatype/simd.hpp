@@ -14,9 +14,8 @@
 // PackPlan selects its kernel pair (gather + scatter) for its block length
 // at compile time, so the hot path is a single indirect call with zero
 // branching on CPU features. The selection can be capped or disabled with
-// the NNCOMM_SIMD environment variable (OFF/SCALAR, AVX2, AVX512, NEON)
-// and compiled out entirely by configuring with -DNNCOMM_SIMD=OFF, which
-// leaves the fixed-size scalar dispatch (4/8/12/16/24/32/48/64-byte
+// the NNCOMM_SIMD environment variable (OFF/SCALAR, AVX2, AVX512, NEON);
+// OFF leaves the fixed-size scalar dispatch (4/8/12/16/24/32/48/64-byte
 // blocks) as the only layer — still never slower than a hand-packed loop,
 // since it IS the hand-packed loop.
 //
@@ -52,8 +51,7 @@ inline const char* level_name(Level l) {
 }
 
 /// The level kernels are selected at: detected once from cpuid/HWCAP,
-/// capped by NNCOMM_SIMD in the environment, Scalar when the build was
-/// configured with NNCOMM_SIMD=OFF.
+/// capped by NNCOMM_SIMD in the environment (OFF means Scalar).
 Level active_level();
 
 /// Test hook: force the level used by subsequent select() calls (pass the

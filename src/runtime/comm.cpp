@@ -1370,9 +1370,11 @@ void Comm::wait_until(const std::function<bool()>& pred) {
         spins = 0;
         box.sleepers.fetch_add(1, std::memory_order_seq_cst);
         const std::uint64_t seen = box.seq.load(std::memory_order_seq_cst);
-        {
+        // Re-check after registering but outside wait_mu: the predicate may
+        // drive delivery into this very mailbox, whose pulse takes wait_mu.
+        if (!pred()) {
             std::unique_lock<std::mutex> lk(box.wait_mu);
-            if (box.seq.load(std::memory_order_seq_cst) == seen && !pred() &&
+            if (box.seq.load(std::memory_order_seq_cst) == seen &&
                 !world_->aborted.load(std::memory_order_acquire)) {
                 ++counters_.rt_cv_waits;
                 box.cv.wait_for(lk, kSleepSlice);

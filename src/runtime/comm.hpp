@@ -96,13 +96,8 @@ inline constexpr int kAnyTag = -1;
 enum class Protocol { Auto, Eager, Rendezvous, Rma };
 
 /// Default rendezvous threshold (bytes). Overridable per communicator via
-/// Comm::set_rendezvous_threshold and at build time via the
-/// NNCOMM_RENDEZVOUS CMake option (OFF compiles the default to "never").
-#if defined(NNCOMM_RENDEZVOUS_THRESHOLD)
-inline constexpr std::size_t kDefaultRendezvousThreshold = NNCOMM_RENDEZVOUS_THRESHOLD;
-#else
+/// Comm::set_rendezvous_threshold (SIZE_MAX means "never": pure eager).
 inline constexpr std::size_t kDefaultRendezvousThreshold = 32 * 1024;
-#endif
 /// Tags >= kInternalTagBase are reserved for collective implementations.
 inline constexpr int kInternalTagBase = 1 << 24;
 
@@ -190,9 +185,9 @@ public:
     /// eager/rendezvous cost crossover for (this rank, dest, pack family)
     /// instead of the static threshold, which remains the fallback while
     /// the cost model is under-sampled. On by default; disengaged by an
-    /// explicit set_rendezvous_threshold, the NNCOMM_ADAPTIVE=OFF env var,
-    /// or the NNCOMM_ADAPTIVE CMake option. An explicit
-    /// set_adaptive_protocol(true) overrides a prior threshold pin.
+    /// explicit set_rendezvous_threshold or the NNCOMM_ADAPTIVE=OFF env
+    /// var. An explicit set_adaptive_protocol(true) overrides a prior
+    /// threshold pin.
     void set_adaptive_protocol(bool on) {
         adaptive_protocol_ = on;
         if (on) threshold_pinned_ = false;
@@ -200,8 +195,7 @@ public:
     bool adaptive_protocol() const { return adaptive_protocol_; }
     /// True when Auto sends actually consult the learned cost model.
     bool adaptive_protocol_engaged() const {
-        return kAdaptiveCompiled && adaptive_protocol_ && !threshold_pinned_ &&
-               adaptive_runtime_enabled();
+        return adaptive_protocol_ && !threshold_pinned_ && adaptive_runtime_enabled();
     }
     /// The threshold a Protocol::Auto send to `dest` with layout `type`
     /// resolves against right now: the learned crossover when adaptation is
@@ -247,7 +241,9 @@ public:
     /// timed-sleep discipline of the message waiters, driving the delivery
     /// engine between checks. `pred` must become true through another
     /// rank's store followed by a pulse_rank(this rank) (or any delivery to
-    /// this rank); the timed slice self-heals a suppressed notify.
+    /// this rank); the timed slice self-heals a suppressed notify. `pred`
+    /// is never called under a mailbox lock, so it may itself drive
+    /// communication (coll::CollRequest::wait passes its progress sweep).
     void wait_until(const std::function<bool()>& pred);
 
     /// Dissemination barrier over all ranks of this communicator.

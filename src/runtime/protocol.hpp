@@ -38,10 +38,10 @@
 // make bit-identical protocol choices across reruns of a long-running
 // service.
 //
-// Escape hatches: the NNCOMM_ADAPTIVE CMake option compiles the whole
-// mechanism out (kAdaptiveCompiled == false); the NNCOMM_ADAPTIVE env var
-// ("OFF"/"0"/"FALSE", case-insensitive) pins the legacy static threshold at
-// runtime, mirroring the NNCOMM_SIMD pattern.
+// Escape hatches: the NNCOMM_ADAPTIVE env var ("OFF"/"0"/"FALSE",
+// case-insensitive) pins the legacy static threshold at runtime, mirroring
+// the NNCOMM_SIMD pattern; Comm::set_adaptive_protocol(false) does the same
+// for one communicator.
 #pragma once
 
 #include <atomic>
@@ -54,65 +54,26 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/env.hpp"
 #include "datatype/datatype.hpp"
 #include "datatype/plan.hpp"
 
 namespace nncomm::rt {
 
-/// True when the adaptive protocol machinery is compiled in (the
-/// NNCOMM_ADAPTIVE CMake option; OFF defines NNCOMM_ADAPTIVE_DISABLED).
-#if defined(NNCOMM_ADAPTIVE_DISABLED)
-inline constexpr bool kAdaptiveCompiled = false;
-#else
-inline constexpr bool kAdaptiveCompiled = true;
-#endif
-
-/// Runtime escape hatch: NNCOMM_ADAPTIVE=OFF|0|FALSE pins the static
-/// threshold. Parsing is split out so tests can drive the raw parser
-/// without mutating the (memoized) process environment.
-inline bool adaptive_env_enabled(const char* value) {
-    if (value == nullptr) return true;
-    auto matches = [](const char* e, const char* token) {
-        for (; *e != '\0' && *token != '\0'; ++e, ++token) {
-            const char c = (*e >= 'a' && *e <= 'z') ? static_cast<char>(*e - 'a' + 'A') : *e;
-            if (c != *token) return false;
-        }
-        return *e == '\0' && *token == '\0';
-    };
-    return !(matches(value, "OFF") || matches(value, "0") || matches(value, "FALSE"));
-}
-
-/// Memoized read of the NNCOMM_ADAPTIVE env var (first call wins, like
-/// simd.cpp's NNCOMM_SIMD cap).
+/// Escape hatch: NNCOMM_ADAPTIVE=OFF|0|FALSE pins the static threshold.
+/// Memoized (first call wins, like simd.cpp's NNCOMM_SIMD cap).
 inline bool adaptive_runtime_enabled() {
-    static const bool enabled = adaptive_env_enabled(std::getenv("NNCOMM_ADAPTIVE"));
+    static const bool enabled = env_flag_enabled(std::getenv("NNCOMM_ADAPTIVE"));
     return enabled;
 }
 
-/// True when the one-sided RMA machinery is eligible for plan selection
-/// (the NNCOMM_RMA CMake option; OFF defines NNCOMM_RMA_DISABLED).
-/// rt::Win itself always compiles — only the persistent-plan protocol
-/// selection is gated, mirroring how NNCOMM_SIMD gates dispatch rather
-/// than the kernels.
-#if defined(NNCOMM_RMA_DISABLED)
-inline constexpr bool kRmaCompiled = false;
-#else
-inline constexpr bool kRmaCompiled = true;
-#endif
-
-/// Runtime escape hatch: NNCOMM_RMA=OFF|0|FALSE keeps persistent plans on
-/// the two-sided protocols. Same parser as the adaptive hatch.
-inline bool rma_env_enabled(const char* value) { return adaptive_env_enabled(value); }
-
-/// Memoized read of the NNCOMM_RMA env var (first call wins).
-inline bool rma_runtime_enabled() {
-    static const bool enabled = rma_env_enabled(std::getenv("NNCOMM_RMA"));
+/// Escape hatch: NNCOMM_RMA=OFF|0|FALSE keeps persistent plans on the
+/// two-sided protocols. rt::Win itself is always available — only the
+/// persistent-plan protocol selection is gated. Memoized like the above.
+inline bool rma_selection_enabled() {
+    static const bool enabled = env_flag_enabled(std::getenv("NNCOMM_RMA"));
     return enabled;
 }
-
-/// The one predicate persistent plans consult: RMA compiled in AND not
-/// disabled by the env var.
-inline bool rma_selection_enabled() { return kRmaCompiled && rma_runtime_enabled(); }
 
 /// Pack-plan family a protocol observation is attributed to. Mirrors
 /// dt::PackKernel — the copy cost per byte differs by an order of magnitude

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "coll/persistent.hpp"
+#include "core/env.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/protocol.hpp"
 
@@ -80,17 +81,21 @@ void feed_pair(Comm& c, int reps) {
 // Unit: env parser, regression line, crossover solver
 
 TEST(Adaptive, EnvParser) {
-    EXPECT_TRUE(rt::adaptive_env_enabled(nullptr));
-    EXPECT_TRUE(rt::adaptive_env_enabled("ON"));
-    EXPECT_TRUE(rt::adaptive_env_enabled("1"));
-    EXPECT_TRUE(rt::adaptive_env_enabled(""));
-    EXPECT_TRUE(rt::adaptive_env_enabled("off-ish"));
-    EXPECT_FALSE(rt::adaptive_env_enabled("OFF"));
-    EXPECT_FALSE(rt::adaptive_env_enabled("off"));
-    EXPECT_FALSE(rt::adaptive_env_enabled("oFf"));
-    EXPECT_FALSE(rt::adaptive_env_enabled("0"));
-    EXPECT_FALSE(rt::adaptive_env_enabled("FALSE"));
-    EXPECT_FALSE(rt::adaptive_env_enabled("false"));
+    EXPECT_TRUE(env_flag_enabled(nullptr));
+    EXPECT_TRUE(env_flag_enabled("ON"));
+    EXPECT_TRUE(env_flag_enabled("1"));
+    EXPECT_TRUE(env_flag_enabled(""));
+    EXPECT_TRUE(env_flag_enabled("off-ish"));
+    EXPECT_FALSE(env_flag_enabled("OFF"));
+    EXPECT_FALSE(env_flag_enabled("off"));
+    EXPECT_FALSE(env_flag_enabled("oFf"));
+    EXPECT_FALSE(env_flag_enabled("0"));
+    EXPECT_FALSE(env_flag_enabled("FALSE"));
+    EXPECT_FALSE(env_flag_enabled("false"));
+    // The token matcher NNCOMM_SIMD parses with: whole-string, any case.
+    EXPECT_TRUE(env_equals("avx512", "AVX512"));
+    EXPECT_FALSE(env_equals("AVX", "AVX2"));
+    EXPECT_FALSE(env_equals("AVX2x", "AVX2"));
 }
 
 TEST(Adaptive, EwLineRecoversExactLine) {
@@ -138,7 +143,7 @@ TEST(Adaptive, CrossoverSolver) {
 // Runtime: learned threshold from synthetic costs
 
 TEST(Adaptive, LearnsSyntheticCrossover) {
-    if (!rt::kAdaptiveCompiled) GTEST_SKIP() << "adaptive machinery compiled out";
+    if (!rt::adaptive_runtime_enabled()) GTEST_SKIP() << "NNCOMM_ADAPTIVE=OFF";
     World w(2);
     w.set_synthetic_protocol_costs(crossover_at_16000());
     w.run([](Comm& c) {
@@ -153,7 +158,7 @@ TEST(Adaptive, LearnsSyntheticCrossover) {
 }
 
 TEST(Adaptive, CountersAttestChoicesAndWatermarks) {
-    if (!rt::kAdaptiveCompiled) GTEST_SKIP() << "adaptive machinery compiled out";
+    if (!rt::adaptive_runtime_enabled()) GTEST_SKIP() << "NNCOMM_ADAPTIVE=OFF";
     StatCounters total;
     World w(2);
     w.set_synthetic_protocol_costs(crossover_at_16000());
@@ -209,12 +214,12 @@ TEST(Adaptive, PinnedThresholdDisengages) {
 TEST(Adaptive, SetAdaptiveFalseDisengagesAndTrueClearsPin) {
     World w(2);
     w.run([](Comm& c) {
-        EXPECT_EQ(c.adaptive_protocol_engaged(), rt::kAdaptiveCompiled);
+        EXPECT_EQ(c.adaptive_protocol_engaged(), rt::adaptive_runtime_enabled());
         c.set_adaptive_protocol(false);
         EXPECT_FALSE(c.adaptive_protocol_engaged());
         c.set_rendezvous_threshold(1024);
         c.set_adaptive_protocol(true);  // explicit opt-in clears the pin
-        EXPECT_EQ(c.adaptive_protocol_engaged(), rt::kAdaptiveCompiled);
+        EXPECT_EQ(c.adaptive_protocol_engaged(), rt::adaptive_runtime_enabled());
         EXPECT_EQ(c.rendezvous_threshold(), 1024u);  // now the fallback
         c.barrier();
     });
@@ -224,7 +229,7 @@ TEST(Adaptive, SetAdaptiveFalseDisengagesAndTrueClearsPin) {
 // Determinism: seed-stable under the fault-injection matrix
 
 TEST(Adaptive, ConvergenceSeedStableUnderFaultMatrix) {
-    if (!rt::kAdaptiveCompiled) GTEST_SKIP() << "adaptive machinery compiled out";
+    if (!rt::adaptive_runtime_enabled()) GTEST_SKIP() << "NNCOMM_ADAPTIVE=OFF";
     // Under an active SchedulePolicy the rendezvous claim always declines
     // (delivery is deferred), so the rdzv line never reaches confidence and
     // every seed/level must deterministically report the static fallback —
@@ -255,7 +260,7 @@ TEST(Adaptive, ConvergenceSeedStableUnderFaultMatrix) {
 // Persistent plans: frozen protocol choices are rerun-stable
 
 TEST(Adaptive, FrozenPlanChoicesBitIdenticalAcrossReruns) {
-    if (!rt::kAdaptiveCompiled) GTEST_SKIP() << "adaptive machinery compiled out";
+    if (!rt::adaptive_runtime_enabled()) GTEST_SKIP() << "NNCOMM_ADAPTIVE=OFF";
     rt::ProtoTuneCache::instance().reset();
 
     auto build_protos = [](World& w) {

@@ -363,7 +363,7 @@ TEST(RmaPlan, SteadyStateMovesZeroTwoSidedMessages) {
 // RMA choice for a shape, rebuilding the same plan adopts it verbatim.
 TEST(RmaPlan, FrozenAutoSelectionStableAcrossReruns) {
     if (!rt::rma_selection_enabled()) GTEST_SKIP() << "RMA selection gated off";
-    if (!rt::kAdaptiveCompiled) GTEST_SKIP() << "adaptive machinery compiled out";
+    if (!rt::adaptive_runtime_enabled()) GTEST_SKIP() << "NNCOMM_ADAPTIVE=OFF";
     rt::ProtoTuneCache::instance().reset();
 
     auto build_rma = [](World& w) {

@@ -253,6 +253,10 @@ TEST(Runtime, BaselineEngineAccumulatesSearchCounters) {
     constexpr std::size_t n = 64;
     World w(2);
     w.run([&](Comm& c) {
+        // The 32 KiB message sits at the default rendezvous threshold: when
+        // the receive happens to be posted first it would move by direct
+        // copy and skip the engine's search. Pin eager on both ranks.
+        c.set_rendezvous_threshold(SIZE_MAX);
         c.set_engine(nncomm::dt::EngineKind::SingleContext);
         nncomm::dt::EngineConfig cfg;
         cfg.pipeline_chunk = 512;

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -150,6 +151,7 @@ TEST_P(TransportMatrix, RingOverflowBurstKeepsFifo) {
     World w(2);
     install(w);
     std::atomic<std::uint64_t> overflow{0};
+    std::atomic<bool> burst_sent{false};
     w.run([&](Comm& c) {
         c.set_rendezvous_threshold(threshold());
         if (c.rank() == 0) {
@@ -158,7 +160,11 @@ TEST_P(TransportMatrix, RingOverflowBurstKeepsFifo) {
             }
             const int done = 777;
             c.send(&done, sizeof(int), Datatype::byte(), 1, 4);
+            burst_sent.store(true, std::memory_order_release);
         } else {
+            // Any receive drains the lane, so wait for the whole burst
+            // outside the runtime: otherwise the ring may never fill.
+            while (!burst_sent.load(std::memory_order_acquire)) std::this_thread::yield();
             int done = -1;
             c.recv(&done, sizeof(int), Datatype::byte(), 0, 4);
             EXPECT_EQ(done, 777);  // FIFO: the burst is fully queued before this
