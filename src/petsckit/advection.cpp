@@ -28,14 +28,6 @@ double AdvectionDiffusionOp::peclet() const {
     return vmax * h_ / (2.0 * eps_);
 }
 
-bool AdvectionDiffusionOp::on_boundary(Index i, Index j, Index k) const {
-    const GridSize g = dmda_->grid();
-    if (i == 0 || i == g.m - 1) return true;
-    if (dmda_->dim() >= 2 && (j == 0 || j == g.n - 1)) return true;
-    if (dmda_->dim() >= 3 && (k == 0 || k == g.p - 1)) return true;
-    return false;
-}
-
 void AdvectionDiffusionOp::apply(const Vec& x, Vec& y) const {
     const DMDA& da = *dmda_;
     da.global_to_local(x, ghosted_, config_);
@@ -49,14 +41,14 @@ void AdvectionDiffusionOp::apply(const Vec& x, Vec& y) const {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
                 const double u = loc[da.local_index(i, j, k)];
-                if (on_boundary(i, j, k)) {
+                if (da.on_boundary(i, j, k)) {
                     out[at] = u;
                     continue;
                 }
                 // Eliminated Dirichlet values are zero: out-of-interior
                 // neighbors simply contribute nothing.
                 auto val = [&](Index ni, Index nj, Index nk) {
-                    return on_boundary(ni, nj, nk) ? 0.0 : loc[da.local_index(ni, nj, nk)];
+                    return da.on_boundary(ni, nj, nk) ? 0.0 : loc[da.local_index(ni, nj, nk)];
                 };
                 double acc = 2.0 * dim * eps_ * inv_h2_ * u;
                 struct Axis {
@@ -95,7 +87,7 @@ void AdvectionDiffusionOp::fill_diagonal(Vec& d) const {
     for (Index k = o.zs; k < o.zs + o.zm; ++k) {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                out[at] = on_boundary(i, j, k) ? 1.0 : diag;
+                out[at] = da.on_boundary(i, j, k) ? 1.0 : diag;
             }
         }
     }

@@ -29,8 +29,6 @@ public:
     double peclet() const;
 
 private:
-    bool on_boundary(Index i, Index j, Index k) const;
-
     std::shared_ptr<const DMDA> dmda_;
     double eps_;
     std::array<double, 3> vel_;

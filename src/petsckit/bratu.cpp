@@ -17,14 +17,6 @@ BratuProblem::BratuProblem(std::shared_ptr<const DMDA> dmda, double lambda,
     ghosted_ = dmda_->create_local();
 }
 
-bool BratuProblem::on_boundary(Index i, Index j, Index k) const {
-    const GridSize g = dmda_->grid();
-    if (i == 0 || i == g.m - 1) return true;
-    if (dmda_->dim() >= 2 && (j == 0 || j == g.n - 1)) return true;
-    if (dmda_->dim() >= 3 && (k == 0 || k == g.p - 1)) return true;
-    return false;
-}
-
 void BratuProblem::residual(const Vec& x, Vec& f) const {
     const DMDA& da = *dmda_;
     da.global_to_local(x, ghosted_, config_);
@@ -39,7 +31,7 @@ void BratuProblem::residual(const Vec& x, Vec& f) const {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
                 const double u = loc[da.local_index(i, j, k)];
-                if (on_boundary(i, j, k)) {
+                if (da.on_boundary(i, j, k)) {
                     out[at] = u;  // Dirichlet: F = u - 0
                     continue;
                 }
@@ -71,13 +63,13 @@ void BratuProblem::jacobian(const Vec& x, MatAIJ& jac) const {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
                 const Index row = da.global_index(i, j, k);
-                if (on_boundary(i, j, k)) {
+                if (da.on_boundary(i, j, k)) {
                     jac.set_value(row, row, 1.0);
                     continue;
                 }
                 jac.set_value(row, row, 2.0 * dim * inv_h2_ - lambda_ * std::exp(u[at]));
                 auto couple = [&](Index ni, Index nj, Index nk) {
-                    if (!on_boundary(ni, nj, nk)) {
+                    if (!da.on_boundary(ni, nj, nk)) {
                         jac.set_value(row, da.global_index(ni, nj, nk), -inv_h2_);
                     }
                 };

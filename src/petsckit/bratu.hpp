@@ -28,8 +28,6 @@ public:
     double h() const { return h_; }
 
 private:
-    bool on_boundary(Index i, Index j, Index k) const;
-
     std::shared_ptr<const DMDA> dmda_;
     double lambda_;
     coll::CollConfig config_;

@@ -47,6 +47,11 @@ struct GridBox {
     bool contains(Index i, Index j, Index k) const {
         return i >= xs && i < xs + xm && j >= ys && j < ys + ym && k >= zs && k < zs + zm;
     }
+    /// True if every point of `b` lies in this box (an empty `b` always does).
+    bool covers(const GridBox& b) const {
+        return b.volume() == 0 || (contains(b.xs, b.ys, b.zs) &&
+                                   contains(b.xs + b.xm - 1, b.ys + b.ym - 1, b.zs + b.zm - 1));
+    }
 };
 
 class DMDA {
@@ -128,6 +133,21 @@ public:
     /// Index into this rank's ghosted storage (point must lie in ghosted()).
     Index local_index(Index i, Index j, Index k, int c = 0) const;
     bool owns(Index i, Index j, Index k) const { return owned_.contains(i, j, k); }
+
+    // -- Dirichlet boundary ----------------------------------------------------------
+    /// True if grid point (i, j, k) lies on the domain boundary: the first or
+    /// last grid plane of an active axis. The one boundary test every
+    /// Dirichlet operator, right-hand side and grid transfer uses.
+    bool on_boundary(Index i, Index j, Index k) const {
+        return i == 0 || i == size_.m - 1 || row_on_boundary(j, k);
+    }
+    /// True if the whole x-row (j, k) lies on the boundary (its j or k is the
+    /// first or last plane of an active y or z axis); row kernels decide this
+    /// once per row and test only i per point.
+    bool row_on_boundary(Index j, Index k) const {
+        return (dim_ >= 2 && (j == 0 || j == size_.n - 1)) ||
+               (dim_ >= 3 && (k == 0 || k == size_.p - 1));
+    }
 
     // -- ghost-exchange introspection ------------------------------------------------
     struct Neighbor {

@@ -1,6 +1,26 @@
 #include "petsckit/laplacian.hpp"
 
+#include <algorithm>
+
 namespace nncomm::pk {
+
+namespace {
+
+/// `b` grown by one point along each active axis, clamped to the grid: the
+/// reach of a 3/5/7-point stencil evaluated on `b`.
+GridBox grow_one(const GridBox& b, GridSize g, int dim) {
+    auto axis = [](Index s, Index m, Index n, bool active, Index& gs, Index& gm) {
+        gs = active ? std::max<Index>(0, s - 1) : s;
+        gm = (active ? std::min<Index>(n, s + m + 1) : s + m) - gs;
+    };
+    GridBox r;
+    axis(b.xs, b.xm, g.m, true, r.xs, r.xm);
+    axis(b.ys, b.ym, g.n, dim >= 2, r.ys, r.ym);
+    axis(b.zs, b.zm, g.p, dim >= 3, r.zs, r.zm);
+    return r;
+}
+
+}  // namespace
 
 LaplacianOp::LaplacianOp(std::shared_ptr<const DMDA> dmda, coll::CollConfig config)
     : dmda_(std::move(dmda)), config_(config) {
@@ -11,50 +31,83 @@ LaplacianOp::LaplacianOp(std::shared_ptr<const DMDA> dmda, coll::CollConfig conf
     h_ = 1.0 / static_cast<double>(m - 1);
     inv_h2_ = 1.0 / (h_ * h_);
     ghosted_ = dmda_->create_local();
-}
-
-bool LaplacianOp::on_boundary(Index i, Index j, Index k) const {
-    const GridSize g = dmda_->grid();
-    if (i == 0 || i == g.m - 1) return true;
-    if (dmda_->dim() >= 2 && (j == 0 || j == g.n - 1)) return true;
-    if (dmda_->dim() >= 3 && (k == 0 || k == g.p - 1)) return true;
-    return false;
+    zero_row_.assign(static_cast<std::size_t>(dmda_->owned().xm), 0.0);
 }
 
 void LaplacianOp::apply(const Vec& x, Vec& y) const {
     const DMDA& da = *dmda_;
     const GridBox& o = da.owned();
+    const GridBox& gb = da.ghosted();
+    const GridSize g = da.grid();
     const int dim = da.dim();
-    const double two_d = 2.0 * dim;
-    double* out = y.data();
-    const double* loc = ghosted_.data();
+    NNCOMM_CHECK_MSG(y.local_size() == o.volume() * da.dof(),
+                     "LaplacianOp::apply: output vector does not match the DMDA");
+    // Every read below lies in the owned box grown by one point along each
+    // active axis; this one check covers all of them.
+    NNCOMM_CHECK_MSG(gb.covers(grow_one(o, g, dim)),
+                     "LaplacianOp::apply: ghosted box does not cover the stencil");
 
-    // One stencil evaluation. Every point is computed exactly once with
-    // this formula whether it runs before or after the ghost exchange
-    // completes, so the overlapped apply is bit-identical to the blocking
-    // one.
-    auto point = [&](Index i, Index j, Index k) {
-        const std::size_t at = static_cast<std::size_t>(
-            ((k - o.zs) * o.ym + (j - o.ys)) * o.xm + (i - o.xs));
-        const double center = loc[da.local_index(i, j, k)];
-        if (on_boundary(i, j, k)) {
-            out[at] = center;  // identity row (Dirichlet unknown)
+    const double two_d = 2.0 * dim;
+    const double inv_h2 = inv_h2_;
+    const double* loc = ghosted_.data();
+    const double* zero = zero_row_.data();
+    double* out = y.data();
+    const Index sy = gb.xm;
+    const Index sz = gb.xm * gb.ym;
+
+    // Row kernel: points [i0, i1) of the owned x-row (j, k). Every point is
+    // computed exactly once, by this kernel, whether it runs before or after
+    // the ghost exchange completes, so the overlapped apply is bit-identical
+    // to the blocking one. The operation order per point is fixed:
+    // 2d*c - (i-1) - (i+1) - (j-1) - (j+1) - (k-1) - (k+1), then * 1/h².
+    // Couplings to boundary points are dropped (their values are eliminated
+    // zeros). A dropped y/z coupling, or one along an inactive axis, reads
+    // the zero row instead: acc - (+0.0) == acc for every acc, so that is
+    // bit-identical to skipping the term and keeps the inner loop branch-free.
+    auto row = [&](Index j, Index k, Index i0, Index i1) {
+        if (i1 <= i0) return;
+        const Index n = i1 - i0;
+        double* dst = out + (((k - o.zs) * o.ym + (j - o.ys)) * o.xm + (i0 - o.xs));
+        const double* c = loc + (((k - gb.zs) * gb.ym + (j - gb.ys)) * gb.xm + (i0 - gb.xs));
+        if (da.row_on_boundary(j, k)) {
+            std::copy(c, c + n, dst);  // identity rows (Dirichlet unknowns)
             return;
         }
-        double acc = two_d * center;
-        // Couplings to boundary points are dropped (their values are
-        // eliminated zeros).
-        if (i > 1) acc -= loc[da.local_index(i - 1, j, k)];
-        if (i < da.grid().m - 2) acc -= loc[da.local_index(i + 1, j, k)];
-        if (dim >= 2) {
-            if (j > 1) acc -= loc[da.local_index(i, j - 1, k)];
-            if (j < da.grid().n - 2) acc -= loc[da.local_index(i, j + 1, k)];
+        const double* jm = (dim >= 2 && j > 1) ? c - sy : zero;
+        const double* jp = (dim >= 2 && j < g.n - 2) ? c + sy : zero;
+        const double* km = (dim >= 3 && k > 1) ? c - sz : zero;
+        const double* kp = (dim >= 3 && k < g.p - 2) ? c + sz : zero;
+        // Peeled points: i = 0, 1 and i = m-2, m-1.
+        auto edge = [&](Index q) {
+            const Index i = i0 + q;
+            if (da.on_boundary(i, j, k)) {
+                dst[q] = c[q];
+                return;
+            }
+            double acc = two_d * c[q];
+            if (i > 1) acc -= c[q - 1];
+            if (i < g.m - 2) acc -= c[q + 1];
+            acc -= jm[q];
+            acc -= jp[q];
+            acc -= km[q];
+            acc -= kp[q];
+            dst[q] = acc * inv_h2;
+        };
+        // [lo, hi): the points with 2 <= i < m-2, coupled to both x neighbors.
+        const Index lo = std::clamp<Index>(2 - i0, 0, n);
+        const Index hi = std::clamp<Index>(g.m - 2 - i0, lo, n);
+        for (Index q = 0; q < lo; ++q) edge(q);
+        for (Index q = lo; q < hi; ++q) {
+            double acc = two_d * c[q];
+            acc -= c[q - 1];
+            acc -= c[q + 1];
+            acc -= jm[q];
+            acc -= jp[q];
+            acc -= km[q];
+            acc -= kp[q];
+            dst[q] = acc * inv_h2;
         }
-        if (dim >= 3) {
-            if (k > 1) acc -= loc[da.local_index(i, j, k - 1)];
-            if (k < da.grid().p - 2) acc -= loc[da.local_index(i, j, k + 1)];
-        }
-        out[at] = acc * inv_h2_;
+        for (Index q = hi; q < n; ++q) edge(q);
     };
 
     // Split-phase ghost exchange: begin() has already filled the owned
@@ -64,27 +117,24 @@ void LaplacianOp::apply(const Vec& x, Vec& y) const {
     // shell, which reads ghost values, runs after the exchange completes.
     coll::CollRequest exchange = da.global_to_local_begin(x, ghosted_, config_);
 
-    const Index ilo = o.xs + 1, ihi = o.xs + o.xm - 1;
-    const Index jlo = dim >= 2 ? o.ys + 1 : o.ys, jhi = dim >= 2 ? o.ys + o.ym - 1 : o.ys + o.ym;
-    const Index klo = dim >= 3 ? o.zs + 1 : o.zs, khi = dim >= 3 ? o.zs + o.zm - 1 : o.zs + o.zm;
+    const Index xe = o.xs + o.xm, ye = o.ys + o.ym, ze = o.zs + o.zm;
+    const Index jlo = dim >= 2 ? o.ys + 1 : o.ys, jhi = dim >= 2 ? ye - 1 : ye;
+    const Index klo = dim >= 3 ? o.zs + 1 : o.zs, khi = dim >= 3 ? ze - 1 : ze;
     for (Index k = klo; k < khi; ++k) {
-        for (Index j = jlo; j < jhi; ++j) {
-            for (Index i = ilo; i < ihi; ++i) point(i, j, k);
-        }
+        for (Index j = jlo; j < jhi; ++j) row(j, k, o.xs + 1, xe - 1);
     }
 
     DMDA::global_to_local_end(exchange);
 
-    auto on_shell = [&](Index i, Index j, Index k) {
-        if (i == o.xs || i == o.xs + o.xm - 1) return true;
-        if (dim >= 2 && (j == o.ys || j == o.ys + o.ym - 1)) return true;
-        if (dim >= 3 && (k == o.zs || k == o.zs + o.zm - 1)) return true;
-        return false;
-    };
-    for (Index k = o.zs; k < o.zs + o.zm; ++k) {
-        for (Index j = o.ys; j < o.ys + o.ym; ++j) {
-            for (Index i = o.xs; i < o.xs + o.xm; ++i) {
-                if (on_shell(i, j, k)) point(i, j, k);
+    // The shell: whole rows on the y/z faces of the owned box, and the two
+    // end points of every other row.
+    for (Index k = o.zs; k < ze; ++k) {
+        for (Index j = o.ys; j < ye; ++j) {
+            if (k < klo || k >= khi || j < jlo || j >= jhi) {
+                row(j, k, o.xs, xe);
+            } else {
+                row(j, k, o.xs, o.xs + 1);
+                if (o.xm > 1) row(j, k, xe - 1, xe);
             }
         }
     }
@@ -99,7 +149,7 @@ void LaplacianOp::fill_diagonal(Vec& d) const {
     for (Index k = o.zs; k < o.zs + o.zm; ++k) {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                out[at] = on_boundary(i, j, k) ? 1.0 : diag_val;
+                out[at] = da.on_boundary(i, j, k) ? 1.0 : diag_val;
             }
         }
     }
@@ -113,24 +163,17 @@ void assemble_laplacian(MatAIJ& mat, const DMDA& dmda) {
     const double h = 1.0 / static_cast<double>(g.m - 1);
     const double inv_h2 = 1.0 / (h * h);
 
-    auto boundary = [&](Index i, Index j, Index k) {
-        if (i == 0 || i == g.m - 1) return true;
-        if (dim >= 2 && (j == 0 || j == g.n - 1)) return true;
-        if (dim >= 3 && (k == 0 || k == g.p - 1)) return true;
-        return false;
-    };
-
     for (Index k = o.zs; k < o.zs + o.zm; ++k) {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i) {
                 const Index row = dmda.global_index(i, j, k);
-                if (boundary(i, j, k)) {
+                if (dmda.on_boundary(i, j, k)) {
                     mat.set_value(row, row, 1.0);
                     continue;
                 }
                 mat.set_value(row, row, 2.0 * dim * inv_h2);
                 auto couple = [&](Index ni, Index nj, Index nk) {
-                    if (!boundary(ni, nj, nk)) {
+                    if (!dmda.on_boundary(ni, nj, nk)) {
                         mat.set_value(row, dmda.global_index(ni, nj, nk), -inv_h2);
                     }
                 };
@@ -151,20 +194,12 @@ void assemble_laplacian(MatAIJ& mat, const DMDA& dmda) {
 
 void fill_rhs_constant(const DMDA& dmda, Vec& b, double value) {
     const GridBox& o = dmda.owned();
-    const GridSize g = dmda.grid();
-    const int dim = dmda.dim();
-    auto boundary = [&](Index i, Index j, Index k) {
-        if (i == 0 || i == g.m - 1) return true;
-        if (dim >= 2 && (j == 0 || j == g.n - 1)) return true;
-        if (dim >= 3 && (k == 0 || k == g.p - 1)) return true;
-        return false;
-    };
     double* out = b.data();
     std::size_t at = 0;
     for (Index k = o.zs; k < o.zs + o.zm; ++k) {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                out[at] = boundary(i, j, k) ? 0.0 : value;
+                out[at] = dmda.on_boundary(i, j, k) ? 0.0 : value;
             }
         }
     }

@@ -11,10 +11,10 @@
 //                      by tests to validate both paths against each other
 //                      and by the Krylov examples).
 //
-// Boundary handling: boundary grid points are kept as unknowns with
-// identity rows, and interior stencil couplings to boundary points are
-// dropped (the eliminated values are zero), which keeps the operator
-// symmetric positive definite. Grid spacing h = 1/(m-1) per axis, so the
+// Boundary handling (DMDA::on_boundary): boundary grid points are kept as
+// unknowns with identity rows, and interior stencil couplings to boundary
+// points are dropped (the eliminated values are zero), which keeps the
+// operator symmetric positive definite. Grid spacing h = 1/(m-1) per axis, so the
 // operator is (1/h²)(2d·I - adjacency) on interior points.
 #pragma once
 
@@ -41,9 +41,6 @@ public:
 
     const DMDA& dmda() const { return *dmda_; }
     double h() const { return h_; }
-    /// True if grid point (i,j,k) lies on the domain boundary of an active
-    /// dimension.
-    bool on_boundary(Index i, Index j, Index k) const;
 
 private:
     std::shared_ptr<const DMDA> dmda_;
@@ -51,6 +48,7 @@ private:
     double h_;
     double inv_h2_;
     mutable std::vector<double> ghosted_;  ///< scratch for the ghost exchange
+    std::vector<double> zero_row_;  ///< owned().xm zeros: the read of a dropped coupling
 };
 
 /// Assembles the same operator into `mat` (whose layout must be the DMDA's

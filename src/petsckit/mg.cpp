@@ -1,6 +1,7 @@
 #include "petsckit/mg.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace nncomm::pk {
 
@@ -13,6 +14,44 @@ Index coarsen_extent(Index m) {
     NNCOMM_CHECK_MSG(m >= 3 && (m % 2) == 1,
                      "MGSolver: grid extent must be odd and >= 3 to coarsen (m = 2*mc - 1)");
     return (m + 1) / 2;
+}
+
+/// The fine points full weighting reads for the coarse box `co`: [2I-1,
+/// 2I+1] around every coarse I along each active axis, clamped to the fine
+/// grid `fg`.
+GridBox restriction_reach(const GridBox& co, GridSize fg) {
+    auto axis = [](Index cs, Index cm, Index fm, Index& s, Index& m) {
+        if (fm == 1) {
+            s = 0, m = 1;
+            return;
+        }
+        s = std::max<Index>(0, 2 * cs - 1);
+        m = std::min<Index>(fm - 1, 2 * (cs + cm - 1) + 1) - s + 1;
+    };
+    GridBox r;
+    axis(co.xs, co.xm, fg.m, r.xs, r.xm);
+    axis(co.ys, co.ym, fg.n, r.ys, r.ym);
+    axis(co.zs, co.zm, fg.p, r.zs, r.zm);
+    return r;
+}
+
+/// The coarse points linear interpolation reads for the fine box `fo`:
+/// [floor(i/2), floor((i+1)/2)] around every fine i along each active axis,
+/// clamped to the coarse grid `cg`.
+GridBox prolongation_reach(const GridBox& fo, GridSize cg) {
+    auto axis = [](Index fs, Index fm, Index cm, Index& s, Index& m) {
+        if (cm == 1) {
+            s = 0, m = 1;
+            return;
+        }
+        s = fs / 2;
+        m = std::min<Index>(cm - 1, (fs + fm) / 2) - s + 1;
+    };
+    GridBox r;
+    axis(fo.xs, fo.xm, cg.m, r.xs, r.xm);
+    axis(fo.ys, fo.ym, cg.n, r.ys, r.ym);
+    axis(fo.zs, fo.zm, cg.p, r.zs, r.zm);
+    return r;
 }
 
 }  // namespace
@@ -45,42 +84,16 @@ MGSolver::MGSolver(rt::Comm& comm, int dim, GridSize fine, const MGConfig& confi
         }
     }
 
-    // Transfer plans between consecutive levels.
+    // Transfer plans between consecutive levels: restriction gathers the
+    // fine residual around this rank's coarse box, prolongation the coarse
+    // correction around its fine box.
     for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
         const DMDA& fda = *levels_[l].dmda;
         const DMDA& cda = *levels_[l + 1].dmda;
-        const GridSize fg = fda.grid();
-        const GridBox& fo = fda.owned();
-        const GridBox& co = cda.owned();
-
-        // Restriction reads the fine residual in [2I-1, 2I+1] around every
-        // owned coarse point I (clamped to the domain).
-        auto fine_span = [&](Index cs, Index cm, Index fm) -> std::pair<Index, Index> {
-            if (fm == 1) return {0, 1};
-            const Index lo = std::max<Index>(0, 2 * cs - 1);
-            const Index hi = std::min<Index>(fm - 1, 2 * (cs + cm - 1) + 1);
-            return {lo, hi - lo + 1};
-        };
-        GridBox fpatch;
-        std::tie(fpatch.xs, fpatch.xm) = fine_span(co.xs, co.xm, fg.m);
-        std::tie(fpatch.ys, fpatch.ym) = fine_span(co.ys, co.ym, fg.n);
-        std::tie(fpatch.zs, fpatch.zm) = fine_span(co.zs, co.zm, fg.p);
-        levels_[l].fine_patch = std::make_unique<PatchGather>(fda, fpatch);
-
-        // Prolongation reads the coarse correction in [floor(i/2),
-        // floor((i+1)/2)] around every owned fine point i.
-        const GridSize cg = cda.grid();
-        auto coarse_span = [&](Index fs, Index fm, Index cm) -> std::pair<Index, Index> {
-            if (cm == 1) return {0, 1};
-            const Index lo = fs / 2;
-            const Index hi = std::min<Index>(cm - 1, (fs + fm) / 2);
-            return {lo, hi - lo + 1};
-        };
-        GridBox cpatch;
-        std::tie(cpatch.xs, cpatch.xm) = coarse_span(fo.xs, fo.xm, cg.m);
-        std::tie(cpatch.ys, cpatch.ym) = coarse_span(fo.ys, fo.ym, cg.n);
-        std::tie(cpatch.zs, cpatch.zm) = coarse_span(fo.zs, fo.zm, cg.p);
-        levels_[l].coarse_patch = std::make_unique<PatchGather>(cda, cpatch);
+        levels_[l].fine_patch =
+            std::make_unique<PatchGather>(fda, restriction_reach(cda.owned(), fda.grid()));
+        levels_[l].coarse_patch =
+            std::make_unique<PatchGather>(cda, prolongation_reach(fda.owned(), cda.grid()));
     }
 }
 
@@ -108,48 +121,78 @@ void MGSolver::restrict_residual(std::size_t fine_level) {
     Level& coarse = levels_[fine_level + 1];
     fine.fine_patch->gather(fine.r, config_.scatter_backend);
 
-    const PatchGather& patch = *fine.fine_patch;
+    const GridBox& pb = fine.fine_patch->patch();
+    const double* v = fine.fine_patch->values().data();
     const DMDA& cda = *coarse.dmda;
     const GridBox& co = cda.owned();
-    const GridSize fg = fine.dmda->grid();
+    const GridSize cg = cda.grid();
     const int dim = cda.dim();
+    // Every read below lies in the restriction reach of the coarse box;
+    // this one check covers all of them.
+    NNCOMM_CHECK_MSG(pb.covers(restriction_reach(co, fine.dmda->grid())),
+                     "MGSolver: restriction patch does not cover its reads");
 
-    // Full weighting: tensor product of [1/4, 1/2, 1/4] over active axes;
-    // out-of-domain fine points are skipped (their residual is zero by the
-    // boundary elimination anyway).
+    // Full weighting: tensor product of [1/4, 1/2, 1/4] over active axes.
+    // A coarse row reads 1, 3 or 9 fine rows (dz outer, then dy); each tap
+    // holds one row's offsets and its weights for dx = -1, 0, 1. Each
+    // coarse point sums w * value in dz, dy, dx order. Interior coarse
+    // points never read outside the fine grid, so no per-point domain test
+    // is needed.
     auto w1d = [](int off) { return off == 0 ? 0.5 : 0.25; };
+    const int zr = (dim >= 3) ? 1 : 0;
+    const int yr = (dim >= 2) ? 1 : 0;
+    struct FineRow {
+        int dy, dz;
+        double w[3];
+    };
+    std::array<FineRow, 9> taps{};
+    std::size_t ntaps = 0;
+    for (int dz = -zr; dz <= zr; ++dz) {
+        for (int dy = -yr; dy <= yr; ++dy) {
+            FineRow& t = taps[ntaps++];
+            t.dy = dy;
+            t.dz = dz;
+            for (int dx = -1; dx <= 1; ++dx) {
+                double w = w1d(dx);
+                if (dim >= 2) w *= w1d(dy);
+                if (dim >= 3) w *= w1d(dz);
+                t.w[dx + 1] = w;
+            }
+        }
+    }
+
+    // Coarse points I = 0 and I = mc-1 are Dirichlet points; [lo, hi) is
+    // the rest of a row.
+    const Index lo = std::clamp<Index>(1 - co.xs, 0, co.xm);
+    const Index hi = std::clamp<Index>(cg.m - 1 - co.xs, lo, co.xm);
     double* out = coarse.b.data();
-    std::size_t at = 0;
     for (Index K = co.zs; K < co.zs + co.zm; ++K) {
         for (Index J = co.ys; J < co.ys + co.ym; ++J) {
-            for (Index I = co.xs; I < co.xs + co.xm; ++I, ++at) {
-                if (coarse.op->on_boundary(I, J, K)) {
-                    // Dirichlet rows stay homogeneous on every level.
-                    out[at] = 0.0;
-                    continue;
-                }
-                const Index fi = 2 * I;
-                const Index fj = (dim >= 2) ? 2 * J : 0;
-                const Index fk = (dim >= 3) ? 2 * K : 0;
-                double acc = 0.0;
-                const int zr = (dim >= 3) ? 1 : 0;
-                const int yr = (dim >= 2) ? 1 : 0;
-                for (int dz = -zr; dz <= zr; ++dz) {
-                    if (fk + dz < 0 || fk + dz >= fg.p) continue;
-                    for (int dy = -yr; dy <= yr; ++dy) {
-                        if (fj + dy < 0 || fj + dy >= fg.n) continue;
-                        for (int dx = -1; dx <= 1; ++dx) {
-                            if (fi + dx < 0 || fi + dx >= fg.m) continue;
-                            double w = w1d(dx);
-                            if (dim >= 2) w *= w1d(dy);
-                            if (dim >= 3) w *= w1d(dz);
-                            acc += w * patch.values()[static_cast<std::size_t>(
-                                           patch.index(fi + dx, fj + dy, fk + dz))];
-                        }
-                    }
-                }
-                out[at] = acc;
+            double* dst = out + ((K - co.zs) * co.ym + (J - co.ys)) * co.xm;
+            if (cda.row_on_boundary(J, K)) {
+                // Dirichlet rows stay homogeneous on every level.
+                std::fill(dst, dst + co.xm, 0.0);
+                continue;
             }
+            const Index fj = (dim >= 2) ? 2 * J : 0;
+            const Index fk = (dim >= 3) ? 2 * K : 0;
+            std::array<const double*, 9> rows{};
+            for (std::size_t r = 0; r < ntaps; ++r) {
+                rows[r] = v + ((fk + taps[r].dz - pb.zs) * pb.ym + (fj + taps[r].dy - pb.ys)) *
+                                  pb.xm;
+            }
+            std::fill(dst, dst + lo, 0.0);
+            for (Index q = lo; q < hi; ++q) {
+                const Index f = 2 * (co.xs + q) - pb.xs;  // patch x of the fine center
+                double acc = 0.0;
+                for (std::size_t r = 0; r < ntaps; ++r) {
+                    acc += taps[r].w[0] * rows[r][f - 1];
+                    acc += taps[r].w[1] * rows[r][f];
+                    acc += taps[r].w[2] * rows[r][f + 1];
+                }
+                dst[q] = acc;
+            }
+            std::fill(dst + hi, dst + co.xm, 0.0);
         }
     }
 }
@@ -159,10 +202,15 @@ void MGSolver::prolong_and_correct(std::size_t fine_level) {
     Level& coarse = levels_[fine_level + 1];
     fine.coarse_patch->gather(coarse.x, config_.scatter_backend);
 
-    const PatchGather& patch = *fine.coarse_patch;
+    const GridBox& pb = fine.coarse_patch->patch();
+    const double* v = fine.coarse_patch->values().data();
     const DMDA& fda = *fine.dmda;
     const GridBox& fo = fda.owned();
     const int dim = fda.dim();
+    // Every read below lies in the prolongation reach of the fine box;
+    // this one check covers all of them.
+    NNCOMM_CHECK_MSG(pb.covers(prolongation_reach(fo, coarse.dmda->grid())),
+                     "MGSolver: prolongation patch does not cover its reads");
 
     // Linear interpolation per axis: even fine index -> the coarse point,
     // odd -> the average of its two coarse neighbors.
@@ -176,34 +224,56 @@ void MGSolver::prolong_and_correct(std::size_t fine_level) {
     };
 
     double* xd = fine.x.data();
-    std::size_t at = 0;
     for (Index k = fo.zs; k < fo.zs + fo.zm; ++k) {
         const Interp iz = (dim >= 3) ? interp1d(k) : Interp{0, 0, 1.0, 0.0};
         for (Index j = fo.ys; j < fo.ys + fo.ym; ++j) {
             const Interp iy = (dim >= 2) ? interp1d(j) : Interp{0, 0, 1.0, 0.0};
-            for (Index i = fo.xs; i < fo.xs + fo.xm; ++i, ++at) {
-                const Interp ix = interp1d(i);
-                double acc = 0.0;
-                for (int az = 0; az < 2; ++az) {
-                    const double wz = az == 0 ? iz.w0 : iz.w1;
-                    if (wz == 0.0) continue;
-                    const Index K = az == 0 ? iz.c0 : iz.c1;
-                    for (int ay = 0; ay < 2; ++ay) {
-                        const double wy = ay == 0 ? iy.w0 : iy.w1;
-                        if (wy == 0.0) continue;
-                        const Index J = ay == 0 ? iy.c0 : iy.c1;
-                        for (int ax = 0; ax < 2; ++ax) {
-                            const double wx = ax == 0 ? ix.w0 : ix.w1;
-                            if (wx == 0.0) continue;
-                            const Index I = ax == 0 ? ix.c0 : ix.c1;
-                            acc += wz * wy * wx *
-                                   patch.values()[static_cast<std::size_t>(
-                                       patch.index(I, J, K))];
-                        }
-                    }
+            // The coarse rows this fine row reads (az outer, then ay; zero
+            // weights skipped) and their weights wz*wy*wx for an even
+            // (wx = 1) and an odd (wx = 1/2) fine i.
+            std::array<const double*, 4> rows{};
+            std::array<double, 4> w_even{}, w_odd{};
+            std::size_t nrows = 0;
+            for (int az = 0; az < 2; ++az) {
+                const double wz = az == 0 ? iz.w0 : iz.w1;
+                if (wz == 0.0) continue;
+                const Index K = az == 0 ? iz.c0 : iz.c1;
+                for (int ay = 0; ay < 2; ++ay) {
+                    const double wy = ay == 0 ? iy.w0 : iy.w1;
+                    if (wy == 0.0) continue;
+                    const Index J = ay == 0 ? iy.c0 : iy.c1;
+                    rows[nrows] = v + ((K - pb.zs) * pb.ym + (J - pb.ys)) * pb.xm;
+                    w_even[nrows] = wz * wy;
+                    w_odd[nrows] = wz * wy * 0.5;
+                    ++nrows;
                 }
-                xd[at] += acc;
             }
+            double* dst = xd + ((k - fo.zs) * fo.ym + (j - fo.ys)) * fo.xm;
+            // Fine i = 2c (c in patch x coordinates) reads coarse c; i = 2c+1
+            // reads c and c+1, in that order.
+            auto even = [&](Index i) {
+                const Index c = i / 2 - pb.xs;
+                double acc = 0.0;
+                for (std::size_t r = 0; r < nrows; ++r) acc += w_even[r] * rows[r][c];
+                dst[i - fo.xs] += acc;
+            };
+            auto odd = [&](Index i) {
+                const Index c = (i - 1) / 2 - pb.xs;
+                double acc = 0.0;
+                for (std::size_t r = 0; r < nrows; ++r) {
+                    acc += w_odd[r] * rows[r][c];
+                    acc += w_odd[r] * rows[r][c + 1];
+                }
+                dst[i - fo.xs] += acc;
+            };
+            const Index ie = fo.xs + fo.xm;
+            Index i = fo.xs;
+            if (i < ie && (i & 1) != 0) odd(i++);
+            for (; i + 1 < ie; i += 2) {
+                even(i);
+                odd(i + 1);
+            }
+            if (i < ie) even(i);
         }
     }
 }

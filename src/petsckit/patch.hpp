@@ -33,13 +33,9 @@ public:
     void gather(const Vec& src, ScatterBackend backend);
 
     const GridBox& patch() const { return patch_; }
+    /// The gathered values: patch().volume() doubles, x fastest, then y,
+    /// then z.
     std::span<const double> values() const { return dest_.local(); }
-
-    /// Index into values() of grid point (i, j, k) inside the patch.
-    Index index(Index i, Index j, Index k) const {
-        NNCOMM_CHECK_MSG(patch_.contains(i, j, k), "PatchGather: point outside patch");
-        return ((k - patch_.zs) * patch_.ym + (j - patch_.ys)) * patch_.xm + (i - patch_.xs);
-    }
 
     /// Aggregate bytes this rank sends during one gather (netsim bridge).
     const std::vector<std::uint64_t>& send_bytes() const { return scatter_->send_bytes(); }

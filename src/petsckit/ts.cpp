@@ -21,7 +21,7 @@ void HeatImplicitOp::apply(const Vec& x, Vec& y) const {
     for (Index k = o.zs; k < o.zs + o.zm; ++k) {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                if (!lap_.on_boundary(i, j, k)) yd[at] += inv_dt_ * xd[at];
+                if (!da.on_boundary(i, j, k)) yd[at] += inv_dt_ * xd[at];
             }
         }
     }
@@ -36,7 +36,7 @@ void HeatImplicitOp::fill_diagonal(Vec& d) const {
     for (Index k = o.zs; k < o.zs + o.zm; ++k) {
         for (Index j = o.ys; j < o.ys + o.ym; ++j) {
             for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                if (!lap_.on_boundary(i, j, k)) dd[at] += inv_dt_;
+                if (!da.on_boundary(i, j, k)) dd[at] += inv_dt_;
             }
         }
     }
@@ -73,7 +73,7 @@ int HeatSolver::step(Vec& u, const Vec* forcing) {
         for (Index k = o.zs; k < o.zs + o.zm; ++k) {
             for (Index j = o.ys; j < o.ys + o.ym; ++j) {
                 for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                    rd[at] = lap_.on_boundary(i, j, k)
+                    rd[at] = dmda_->on_boundary(i, j, k)
                                  ? 0.0
                                  : inv_dt * ud[at] + (fd ? fd[at] : 0.0);
                 }
@@ -93,7 +93,7 @@ int HeatSolver::step(Vec& u, const Vec* forcing) {
         for (Index k = o.zs; k < o.zs + o.zm; ++k) {
             for (Index j = o.ys; j < o.ys + o.ym; ++j) {
                 for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                    if (lap_.on_boundary(i, j, k)) {
+                    if (dmda_->on_boundary(i, j, k)) {
                         ud[at] = 0.0;
                     } else {
                         ud[at] += config_.dt * (-ld[at] + (fd ? fd[at] : 0.0));

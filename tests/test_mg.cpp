@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <mutex>
 
 #include "petsckit/mg.hpp"
@@ -195,6 +197,68 @@ TEST(Mg, ZeroRhsGivesZeroSolution) {
         EXPECT_TRUE(res.converged);
         EXPECT_DOUBLE_EQ(x.norm_inf(), 0.0);
     });
+}
+
+// FNV-1a over the bytes of `v`.
+std::uint64_t fnv1a(const std::vector<double>& v) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (double d : v) {
+        unsigned char bytes[sizeof(double)];
+        std::memcpy(bytes, &d, sizeof d);
+        for (unsigned char b : bytes) {
+            h ^= b;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+// Pins the exact bits of two V-cycles (smoother stencil, full-weighting
+// restriction, trilinear prolongation, coarse CG) per grid and rank count.
+// The transfers are private to MGSolver, so the pin goes through v_cycle.
+// The right-hand side is non-zero on Dirichlet points too, so x's boundary
+// values move and the dropped stencil couplings and the restriction's
+// boundary reads are exercised. Any change to the floating-point operation
+// order of the kernels changes these hashes.
+TEST(Mg, TwoVcyclesAreBitPinned) {
+    struct Case {
+        int dim;
+        GridSize g;
+        int nranks;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {1, GridSize{65, 1, 1}, 1, 0x2ae268296f0b9168ull},
+        {1, GridSize{65, 1, 1}, 3, 0x58a4c72cb32a9fceull},
+        {1, GridSize{65, 1, 1}, 4, 0x0e49d75849d786edull},
+        {2, GridSize{33, 17, 1}, 1, 0x31ab2351f34c4a82ull},
+        {2, GridSize{33, 17, 1}, 3, 0x23b0f25a2d12da10ull},
+        {2, GridSize{33, 17, 1}, 4, 0x1d399d96c4c7d3ceull},
+        {3, GridSize{17, 17, 9}, 1, 0x161866e291e2d7a1ull},
+        {3, GridSize{17, 17, 9}, 3, 0x480e999ff4c5b5daull},
+        {3, GridSize{17, 17, 9}, 4, 0x675cb2a5001f24efull},
+    };
+    for (const Case& tc : cases) {
+        World w(tc.nranks);
+        std::vector<double> global(static_cast<std::size_t>(tc.g.m * tc.g.n * tc.g.p));
+        w.run([&](Comm& c) {
+            MGConfig cfg;
+            cfg.levels = 3;
+            MGSolver mg(c, tc.dim, tc.g, cfg);
+            Vec b = mg.fine_dmda().create_global();
+            for (Index gi = b.range().begin; gi < b.range().end; ++gi) {
+                b.at_global(gi) = 1.0 + static_cast<double>((gi * 7919) % 1013) / 1024.0;
+            }
+            Vec x = b.clone_empty();
+            mg.v_cycle(b, x);
+            mg.v_cycle(b, x);
+            std::copy(x.local().begin(), x.local().end(),
+                      global.begin() + static_cast<std::ptrdiff_t>(x.range().begin));
+        });
+        EXPECT_EQ(fnv1a(global), tc.hash)
+            << "dim=" << tc.dim << " nranks=" << tc.nranks << " got 0x" << std::hex
+            << fnv1a(global);
+    }
 }
 
 }  // namespace

@@ -332,7 +332,7 @@ TEST(ChebySmoother, DampsOscillatoryErrorFast) {
             for (Index k = o.zs; k < o.zs + o.zm; ++k) {
                 for (Index j = o.ys; j < o.ys + o.ym; ++j) {
                     for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                        x.data()[at] = A.on_boundary(i, j, 0) ? 0.0 : fill(i, j);
+                        x.data()[at] = da->on_boundary(i, j, 0) ? 0.0 : fill(i, j);
                     }
                 }
             }
