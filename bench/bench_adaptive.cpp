@@ -1,7 +1,6 @@
-// Adaptive protocol selection: self-tuning eager/rendezvous crossover plus
-// the chunk-pipelined rendezvous path.
+// Adaptive protocol selection: self-tuning eager/rendezvous crossover.
 //
-// Three gates, written to BENCH_adaptive.json:
+// Two gates, written to BENCH_adaptive.json:
 //
 //  1. Steady state (simulator, paper testbed): on every adaptive_shapes
 //     workload the online cost model's makespan must match the best static
@@ -16,27 +15,17 @@
 //     analytic crossover, handshake / copy = 37 600 bytes. This is the
 //     same optimum bench_ablation_rendezvous reports per shape.
 //
-//  3. Pipeline (real runtime): a persistent alltoallw moving a large
-//     strided payload between two ranks must run >= 1.2x faster with the
-//     chunk-pipelined rendezvous (pack chunk k+1 while chunk k copies,
-//     cache-hot staging window) than with pack-then-copy, and the
-//     rt_rdzv_pipelined_* counters must attest the fused path actually
-//     ran.
-//
-// --smoke runs the simulator gates only (fast, deterministic) and skips
-// the JSON write; CI wires it into tier-1.
+// --smoke runs both gates but skips the JSON write; CI wires it into
+// tier-1.
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "bench/adaptive_shapes.hpp"
 #include "bench/common.hpp"
-#include "coll/persistent.hpp"
 #include "netsim/sim.hpp"
-#include "runtime/comm.hpp"
 
 using namespace nncomm;
-using dt::Datatype;
 
 namespace {
 
@@ -69,62 +58,6 @@ sim::SimResult run_adaptive_mix() {
         }
     }
     return sim::Simulator(cluster).run(progs);
-}
-
-// ---- Gate 3: chunk-pipelined rendezvous on the real runtime ---------------
-
-constexpr int kPipeIters = 60;
-constexpr std::size_t kBlocks = 16384;
-constexpr std::size_t kBlockElems = 32;  // 256 B blocks, 4 MiB payload
-
-/// Persistent 2-rank alltoallw of one large strided message per direction,
-/// rendezvous forced; returns per-execute ms with the pipeline on or off.
-double strided_exchange_ms(bool pipelined, std::uint64_t* pipelined_msgs, int iters) {
-    double out = 0.0;
-    std::uint64_t fused = 0;
-    rt::World w(2);
-    w.run([&](rt::Comm& c) {
-        c.set_rendezvous_threshold(1);  // every nonzero send rides rendezvous
-        c.set_rendezvous_pipeline(pipelined);
-        const int peer = 1 - c.rank();
-        const auto n = static_cast<std::size_t>(c.size());
-
-        // Strided send layout (vector of 32-double blocks, half-dense),
-        // contiguous receive — the Fig. 16 halo shape scaled up.
-        auto block = Datatype::contiguous(kBlockElems, Datatype::float64());
-        auto strided = Datatype::vector(kBlocks, 1, 2, block);
-        const std::size_t payload = kBlocks * kBlockElems * sizeof(double);
-
-        std::vector<double> src(kBlocks * kBlockElems * 2, 1.5);
-        std::vector<double> dst(kBlocks * kBlockElems, 0.0);
-
-        std::vector<std::size_t> scounts(n, 0), rcounts(n, 0);
-        std::vector<std::ptrdiff_t> sdispls(n, 0), rdispls(n, 0);
-        std::vector<Datatype> stypes(n, Datatype::byte()), rtypes(n, Datatype::byte());
-        scounts[static_cast<std::size_t>(peer)] = 1;
-        stypes[static_cast<std::size_t>(peer)] = strided;
-        rcounts[static_cast<std::size_t>(peer)] = payload / sizeof(double);
-        rtypes[static_cast<std::size_t>(peer)] = Datatype::float64();
-
-        // Chunk pipelining is a rendezvous-send mechanism; Auto would lower
-        // the plan onto RMA windows and never take the path gated here.
-        coll::CollConfig cfg;
-        cfg.persistent_protocol = rt::Protocol::Rendezvous;
-        coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes,
-                                 cfg);
-        for (int it = 0; it < 5; ++it) plan.execute(src.data(), dst.data());
-        c.barrier();
-        benchutil::Stopwatch sw;
-        for (int it = 0; it < iters; ++it) plan.execute(src.data(), dst.data());
-        const double ms = sw.ms() / iters;
-        c.barrier();
-        if (c.rank() == 0) {
-            out = ms;
-            fused = c.counters().rt_rdzv_pipelined_msgs;
-        }
-    });
-    if (pipelined_msgs != nullptr) *pipelined_msgs = fused;
-    return out;
 }
 
 }  // namespace
@@ -181,23 +114,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(mix.adaptive_updates),
                 converged ? "PASS" : "FAIL");
 
-    // ---- Gate 3: pipelined rendezvous (skipped in smoke) ------------------
-    double serial_ms = 0.0, pipe_ms = 0.0, speedup = 0.0;
-    std::uint64_t fused_msgs = 0;
-    bool pipe_ok = true;
-    if (!smoke) {
-        const int iters = kPipeIters;
-        serial_ms = strided_exchange_ms(false, nullptr, iters);
-        pipe_ms = strided_exchange_ms(true, &fused_msgs, iters);
-        speedup = pipe_ms > 0.0 ? serial_ms / pipe_ms : 0.0;
-        pipe_ok = speedup >= 1.2 && fused_msgs > 0;
-        pass = pass && pipe_ok;
-        std::printf("\npipelined rendezvous, 4 MiB strided persistent alltoallw (2 ranks):\n"
-                    "serial %.3f ms, pipelined %.3f ms, speedup %.2fx, fused msgs %llu — %s\n",
-                    serial_ms, pipe_ms, speedup,
-                    static_cast<unsigned long long>(fused_msgs), pipe_ok ? "PASS" : "FAIL");
-    }
-
     std::printf("\nadaptive gates: %s\n", pass ? "PASS" : "FAIL");
 
     if (!smoke) {
@@ -221,11 +137,6 @@ int main(int argc, char** argv) {
                          static_cast<unsigned long long>(target),
                          static_cast<unsigned long long>(mix.adaptive_updates),
                          converged ? "true" : "false");
-            std::fprintf(f, "  \"pipeline\": { \"serial_ms\": %.3f, \"pipelined_ms\": %.3f, "
-                            "\"speedup\": %.2f, \"fused_msgs\": %llu, \"pass\": %s },\n",
-                         serial_ms, pipe_ms, speedup,
-                         static_cast<unsigned long long>(fused_msgs),
-                         pipe_ok ? "true" : "false");
             std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
             std::fclose(f);
             std::printf("wrote BENCH_adaptive.json\n");

@@ -657,33 +657,6 @@ CollRequest::CollRequest(rt::Comm& comm, Schedule schedule)
         }
     }
 
-    // Fusion precompute: a Pack i feeding exactly one Rendezvous Send j
-    // through a staging slot no other op touches can stream chunk-by-chunk
-    // into the receiver (try_fused) instead of pack-then-send. The staging
-    // slot doubles as the pipeline window, so the pair must be its only
-    // users (slot_refs == 2) and the Pack must have no other dependants
-    // (the fused path leaves only the final chunk in the slot).
-    const std::size_t nops = sched_.ops.size();
-    fused_send_.assign(nops, -1);
-    std::vector<int> slot_refs(sched_.staging.size(), 0);
-    std::vector<int> dep_count(nops, 0);
-    for (const ScheduleOp& op : sched_.ops) {
-        if (op.slot >= 0) ++slot_refs[static_cast<std::size_t>(op.slot)];
-        for (int d : op.deps) ++dep_count[static_cast<std::size_t>(d)];
-    }
-    for (std::size_t j = 0; j < nops; ++j) {
-        const ScheduleOp& snd = sched_.ops[j];
-        if (snd.kind != ScheduleOpKind::Send || snd.slot < 0) continue;
-        if (snd.proto != rt::Protocol::Rendezvous) continue;
-        if (snd.deps.size() != 1) continue;
-        const auto p = static_cast<std::size_t>(snd.deps[0]);
-        const ScheduleOp& pk = sched_.ops[p];
-        if (pk.kind != ScheduleOpKind::Pack || pk.slot != snd.slot) continue;
-        if (dep_count[p] != 1) continue;
-        if (slot_refs[static_cast<std::size_t>(snd.slot)] != 2) continue;
-        fused_send_[p] = static_cast<int>(j);
-    }
-
     ++pending_setup_.coll_schedules_built;
 }
 
@@ -941,41 +914,6 @@ void CollRequest::run_local(std::size_t i) {
     }
 }
 
-bool CollRequest::try_fused(std::size_t i) {
-    const int j = fused_send_[i];
-    if (j < 0) return false;
-    const auto sj = static_cast<std::size_t>(j);
-    if (state_[sj] != kPending) return false;
-    if (!comm_->rendezvous_pipeline()) return false;
-    const ScheduleOp& pk = sched_.ops[i];
-    const ScheduleOp& snd = sched_.ops[sj];
-    const std::size_t total = static_cast<std::size_t>(snd.bytes);
-    const std::size_t chunk = comm_->engine_config().pipeline_chunk;
-    if (chunk == 0 || total <= chunk) return false;
-    const dt::PackPlan& plan = pk.type.plan();
-    // Irregular pack_range re-walks the layout to seek, which would make a
-    // k-chunk pipeline quadratic; only constant-stride kernels seek in O(1).
-    if (!plan.specialized()) return false;
-
-    const std::byte* src = resolve(pk.a);
-    auto& buf = staging_[static_cast<std::size_t>(pk.slot)];
-    // No PhaseScope here: try_rendezvous_staged_i charges the whole
-    // pack+copy loop to Phase::Comm, same as the zero-copy staged path.
-    auto produce = [&](std::uint64_t pos, std::span<std::byte> out) {
-        plan.pack_range(pk.type.flat(), src, pk.count, pos, out, &step_);
-    };
-    if (!comm_->try_rendezvous_staged_i(snd.peer, tags_.tag(snd.tag_offset), total,
-                                        rt::family_of(pk.type),
-                                        std::span<std::byte>(buf), produce)) {
-        return false;
-    }
-    ++step_.plan_hits;
-    step_.bytes_packed += total;
-    mark_done(i);
-    mark_done(sj);
-    return true;
-}
-
 bool CollRequest::pass() {
     if (done_) return true;
     bool moved = false;
@@ -1009,9 +947,6 @@ bool CollRequest::pass() {
             NNCOMM_CHECK(win_ != nullptr);
             win_->fence_begin();
             state_[i] = kPosted;
-        } else if (op.kind == ScheduleOpKind::Pack && try_fused(i)) {
-            // Pack and its Send retired together through the chunk-pipelined
-            // rendezvous path.
         } else {
             run_local(i);
             mark_done(i);

@@ -291,15 +291,6 @@ private:
     void post_recv(std::size_t i);
     void post_send(std::size_t i);
     void run_local(std::size_t i);
-    /// Chunk-pipelined rendezvous for a fusable Pack op: when Pack i feeds
-    /// exactly one Rendezvous Send through a private staging slot and the
-    /// matching receive is already posted, the pack streams straight into
-    /// the receiver through a pipeline_chunk-sized window of the slot
-    /// (rt::Comm::try_rendezvous_staged_i) and both ops retire at once.
-    /// Returns false — caller packs and sends serially — whenever the fused
-    /// transfer cannot run (pipeline disabled, small payload, unposted
-    /// receive, active SchedulePolicy, FIFO guard).
-    bool try_fused(std::size_t i);
     void mark_done(std::size_t i);
     void finalize();
     std::byte* resolve(const BufRef& ref) const;
@@ -313,10 +304,6 @@ private:
 
     std::vector<std::uint8_t> state_;
     std::vector<rt::Request> reqs_;
-    /// fused_send_[i] = index of the lone Rendezvous Send fed by Pack op i
-    /// through a staging slot referenced by no other op (-1: not fusable).
-    /// Computed once at construction from the schedule's static shape.
-    std::vector<int> fused_send_;
     std::vector<std::vector<std::byte>> staging_;              ///< persistent
     std::vector<std::unique_ptr<dt::PackEngine>> engines_;     ///< persistent
     std::vector<int> round_left_;

@@ -163,9 +163,7 @@ struct StatCounters {
     // (or fallback static) threshold tallies which path it chose; the
     // threshold water marks record the range of effective thresholds the
     // resolver actually used, so a bench can attest adaptation moved the
-    // crossover rather than sitting on the default. The rt_rdzv_pipelined_*
-    // counters cover the chunk-pipelined rendezvous path where packing
-    // chunk k+1 overlaps the copy of chunk k.
+    // crossover rather than sitting on the default.
     std::uint64_t rt_proto_adapt_updates = 0;  ///< cost-model observations recorded
     std::uint64_t rt_proto_eager_chosen = 0;   ///< Auto resolutions that picked eager
     std::uint64_t rt_proto_rdzv_chosen = 0;    ///< Auto resolutions that picked rendezvous
@@ -174,8 +172,6 @@ struct StatCounters {
     /// nonzero values (0 = never observed).
     std::uint64_t rt_proto_threshold_bytes_hi = 0;
     std::uint64_t rt_proto_threshold_bytes_lo = 0;
-    std::uint64_t rt_rdzv_pipelined_msgs = 0;    ///< fused pack+copy rendezvous sends
-    std::uint64_t rt_rdzv_pipelined_chunks = 0;  ///< chunks moved through the fused path
 
     // One-sided RMA counters (runtime/win.cpp + coll/persistent.cpp). Puts
     // and gets are window transfers (a fused pack straight into the target
@@ -249,8 +245,6 @@ struct StatCounters {
              o.rt_proto_threshold_bytes_lo < rt_proto_threshold_bytes_lo)) {
             rt_proto_threshold_bytes_lo = o.rt_proto_threshold_bytes_lo;
         }
-        rt_rdzv_pipelined_msgs += o.rt_rdzv_pipelined_msgs;
-        rt_rdzv_pipelined_chunks += o.rt_rdzv_pipelined_chunks;
         rt_rma_puts += o.rt_rma_puts;
         rt_rma_put_bytes += o.rt_rma_put_bytes;
         rt_rma_gets += o.rt_rma_gets;

@@ -145,9 +145,9 @@ PackPlan PackPlan::compile(const FlatType& flat) {
 // ---------------------------------------------------------------------------
 // kernels
 
-void PackPlan::pack_range(const FlatType& flat, const std::byte* base, std::size_t count,
-                          std::uint64_t pos, std::span<std::byte> out,
-                          StatCounters* stats) const {
+void PackPlan::pack_range(const FlatType& flat, const std::byte* base,
+                          [[maybe_unused]] std::size_t count, std::uint64_t pos,
+                          std::span<std::byte> out, StatCounters* stats) const {
     std::size_t n = out.size();
     if (n == 0) return;
     NNCOMM_ASSERT(pos + n <= static_cast<std::uint64_t>(instance_size_) * count);
@@ -288,9 +288,9 @@ void PackPlan::pack_range(const FlatType& flat, const std::byte* base, std::size
     }
 }
 
-void PackPlan::unpack_range(const FlatType& flat, std::byte* base, std::size_t count,
-                            std::uint64_t pos, std::span<const std::byte> in,
-                            StatCounters* stats) const {
+void PackPlan::unpack_range(const FlatType& flat, std::byte* base,
+                            [[maybe_unused]] std::size_t count, std::uint64_t pos,
+                            std::span<const std::byte> in, StatCounters* stats) const {
     std::size_t n = in.size();
     if (n == 0) return;
     NNCOMM_ASSERT(pos + n <= static_cast<std::uint64_t>(instance_size_) * count);

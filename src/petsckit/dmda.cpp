@@ -5,8 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "petsckit/scatter.hpp"
-
 namespace nncomm::pk {
 
 std::array<int, 3> DMDA::factor_grid(int nprocs, int dim, GridSize size) {
@@ -326,110 +324,6 @@ coll::CollRequest DMDA::global_to_local_begin(const Vec& global, std::span<doubl
                      "global_to_local: local array has the wrong size");
     return coll::ialltoallw(*comm_, global.data(), g2l_scounts_, g2l_sdispls_, g2l_stypes_,
                             local.data(), g2l_rcounts_, g2l_rdispls_, g2l_rtypes_, config);
-}
-
-void DMDA::build_sparse_exchange() const {
-    const int n = comm_->size();
-    const Index sw = sw_;
-
-    // My ghost slots: every ghosted point some neighbor slab covers, in
-    // ghosted-storage order. The recv_box test (rather than "not owned")
-    // matters for Star stencils, where corner regions of the ghosted box
-    // are never exchanged and must stay untouched — exactly like the dense
-    // path's subarray receives.
-    std::vector<Index> needed;
-    sparse_ghost_local_.clear();
-    for (Index k = ghosted_.zs; k < ghosted_.zs + ghosted_.zm; ++k) {
-        for (Index j = ghosted_.ys; j < ghosted_.ys + ghosted_.ym; ++j) {
-            for (Index i = ghosted_.xs; i < ghosted_.xs + ghosted_.xm; ++i) {
-                if (owned_.contains(i, j, k)) continue;
-                bool covered = false;
-                for (const Neighbor& nb : neighbors_) {
-                    if (nb.recv_box.contains(i, j, k)) {
-                        covered = true;
-                        break;
-                    }
-                }
-                if (!covered) continue;
-                for (int c = 0; c < dof_; ++c) {
-                    needed.push_back(global_index(i, j, k, c));
-                    sparse_ghost_local_.push_back(local_index(i, j, k, c));
-                }
-            }
-        }
-    }
-
-    // Every rank's slot count, computed locally (the mirror of the recv
-    // slabs each rank derives in build_exchange): one slab per in-domain
-    // stencil neighbor, slabs disjoint by direction sign.
-    std::vector<Index> counts(static_cast<std::size_t>(n), 0);
-    if (sw > 0) {
-        const int dy_range = (dim_ >= 2) ? 1 : 0;
-        const int dz_range = (dim_ >= 3) ? 1 : 0;
-        for (int r = 0; r < n; ++r) {
-            const int rcx = r % px_;
-            const int rcy = (r / px_) % py_;
-            const int rcz = r / (px_ * py_);
-            const GridBox o = owned_box_of(r);
-            Index vol = 0;
-            for (int dz = -dz_range; dz <= dz_range; ++dz) {
-                for (int dy = -dy_range; dy <= dy_range; ++dy) {
-                    for (int dx = -1; dx <= 1; ++dx) {
-                        if (dx == 0 && dy == 0 && dz == 0) continue;
-                        const int nonzero = (dx != 0) + (dy != 0) + (dz != 0);
-                        if (stencil_ == Stencil::Star && nonzero > 1) continue;
-                        const int ncx = rcx + dx, ncy = rcy + dy, ncz = rcz + dz;
-                        if (ncx < 0 || ncx >= px_ || ncy < 0 || ncy >= py_ || ncz < 0 ||
-                            ncz >= pz_) {
-                            continue;
-                        }
-                        vol += ((dx == 0) ? o.xm : sw) * ((dy == 0) ? o.ym : sw) *
-                               ((dz == 0) ? o.zm : sw);
-                    }
-                }
-            }
-            counts[static_cast<std::size_t>(r)] = vol * static_cast<Index>(dof_);
-        }
-    }
-    NNCOMM_CHECK_MSG(counts[static_cast<std::size_t>(comm_->rank())] ==
-                         static_cast<Index>(needed.size()),
-                     "DMDA sparse exchange: slot-count model disagrees with enumeration");
-
-    auto ghost_layout = std::make_shared<const Layout>(Layout::from_counts(counts));
-    sparse_ghost_vec_ = std::make_unique<Vec>(*comm_, ghost_layout);
-    sparse_scatter_ = std::make_unique<VecScatter>(
-        VecScatter::gather_sparse(*comm_, *layout_, needed, *ghost_layout));
-}
-
-void DMDA::global_to_local_sparse(const Vec& global, std::span<double> local) const {
-    NNCOMM_CHECK_MSG(global.local_size() == owned_.volume() * dof_,
-                     "global_to_local_sparse: global vector does not match this DMDA");
-    NNCOMM_CHECK_MSG(static_cast<Index>(local.size()) == ghosted_.volume() * dof_,
-                     "global_to_local_sparse: local array has the wrong size");
-    if (!sparse_scatter_) build_sparse_exchange();
-
-    // Owned region: straight local copy (the dense path's self subarray).
-    {
-        const double* g = global.data();
-        const std::size_t row = static_cast<std::size_t>(owned_.xm) *
-                                static_cast<std::size_t>(dof_);
-        std::size_t gpos = 0;
-        for (Index k = owned_.zs; k < owned_.zs + owned_.zm; ++k) {
-            for (Index j = owned_.ys; j < owned_.ys + owned_.ym; ++j) {
-                const Index l0 = local_index(owned_.xs, j, k, 0);
-                std::memcpy(local.data() + l0, g + gpos, row * sizeof(double));
-                gpos += row;
-            }
-        }
-    }
-
-    // Ghost slots: gather into the scratch vector, then place each slot at
-    // its ghosted-storage offset.
-    sparse_scatter_->execute(global, *sparse_ghost_vec_, ScatterBackend::DatatypeOptimized);
-    const double* s = sparse_ghost_vec_->data();
-    for (std::size_t t = 0; t < sparse_ghost_local_.size(); ++t) {
-        local[static_cast<std::size_t>(sparse_ghost_local_[t])] = s[t];
-    }
 }
 
 void DMDA::local_to_global_add(std::span<const double> local, Vec& global) const {

@@ -25,7 +25,6 @@
 
 #include "coll/collectives.hpp"
 #include "coll/schedule.hpp"
-#include "petsckit/scatter.hpp"
 #include "petsckit/vec.hpp"
 
 namespace nncomm::pk {
@@ -103,19 +102,6 @@ public:
     /// Completes a split-phase ghost exchange begun by global_to_local_begin.
     static void global_to_local_end(coll::CollRequest& req) { req.wait(); }
 
-    /// Ghost exchange through the sparse-discovery path: same data motion
-    /// and bit-identical result to global_to_local, but the plan — built
-    /// lazily on the first call — discovers its neighborhood with one
-    /// rt::sparse_exchange (via VecScatter::gather_sparse) instead of
-    /// walking precomputed dense per-rank Alltoallw arrays. Each rank
-    /// enumerates only its own ghost points; no rank ever materializes
-    /// O(p) metadata about non-neighbors. Collective.
-    void global_to_local_sparse(const Vec& global, std::span<double> local) const;
-
-    /// The lazily built sparse-discovery scatter (nullptr until the first
-    /// global_to_local_sparse call) — introspection for tests/benches.
-    const VecScatter* sparse_plan() const { return sparse_scatter_.get(); }
-
     /// Copies the owned region of `local` back into the global vector
     /// (insert mode; purely local).
     void local_to_global(std::span<const double> local, Vec& global) const;
@@ -187,7 +173,6 @@ public:
 private:
     void build_exchange();
     GridBox ghosted_box_of(int rank) const;
-    void build_sparse_exchange() const;
 
     rt::Comm* comm_;
     int dim_;
@@ -207,13 +192,6 @@ private:
     std::vector<std::size_t> g2l_scounts_, g2l_rcounts_;
     std::vector<std::ptrdiff_t> g2l_sdispls_, g2l_rdispls_;
     std::vector<dt::Datatype> g2l_stypes_, g2l_rtypes_;
-
-    // Sparse-discovery ghost path, built lazily by the first
-    // global_to_local_sparse (each rank thread owns its DMDA, like its
-    // Comm, so mutable-without-locks is safe).
-    mutable std::unique_ptr<VecScatter> sparse_scatter_;
-    mutable std::vector<Index> sparse_ghost_local_;  ///< ghosted-storage offset per slot
-    mutable std::unique_ptr<Vec> sparse_ghost_vec_;  ///< landing scratch for the gather
 };
 
 }  // namespace nncomm::pk

@@ -1037,94 +1037,6 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     return true;
 }
 
-/// Chunk-pipelined rendezvous for producer-driven staged sends: the fused
-/// Pack+Send path of coll::CollRequest. Claim logic is identical to
-/// try_rendezvous (same FIFO guard, same PRQ claim under posted_mu, same
-/// degradation rules); the difference is the copy loop — instead of packing
-/// the whole payload into a staging buffer and then copying it cold, the
-/// producer fills one pipeline_chunk-sized slice at the front of `stage`
-/// and the slice is copied (or scattered) into the receiver's buffer while
-/// its bytes are still cache-hot, so the pack of chunk k+1 overlaps the
-/// copy of chunk k through the cache hierarchy.
-bool Comm::try_rendezvous_staged_i(
-    int dest, int tag, std::size_t total, PackFamily family, std::span<std::byte> stage,
-    const std::function<void(std::uint64_t, std::span<std::byte>)>& produce) {
-    if (world_->policy.enabled) return false;  // all policy traffic routes buffered
-    if (total == 0) return false;
-    NNCOMM_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank");
-    NNCOMM_CHECK_MSG(!stage.empty(), "pipelined rendezvous needs a staging window");
-    const int context = context_ + detail::kInternalContextOffset;
-
-    Envelope header;
-    header.source = rank_;
-    header.tag = tag;
-    header.context = context;
-
-    Mailbox& box = *world_->boxes[static_cast<std::size_t>(dest)];
-    detail::Lane& lane = box.lanes[static_cast<std::size_t>(rank_)];
-    if (lane.unconsumed.load(std::memory_order_acquire) != 0) {
-        return false;  // older messages of ours still in flight: keep FIFO
-    }
-
-    std::unique_lock<std::mutex> lk(box.posted_mu);
-    ++counters_.rt_lock_acquisitions;
-    std::shared_ptr<RequestState> r = detail::match_prq(box, header);
-    if (!r) return false;  // unposted: caller stages and sends buffered
-    const auto& rflat = r->type.flat();
-    NNCOMM_CHECK_MSG(total <= rflat.size() * r->count, "message longer than receive buffer");
-
-    const bool observe =
-        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-    const auto t0 = std::chrono::steady_clock::now();
-
-    const bool rdense =
-        rflat.contiguous() && static_cast<std::ptrdiff_t>(rflat.size()) == rflat.extent();
-    auto* rbase = static_cast<std::byte*>(r->buf);
-    const std::size_t chunk = engine_config_.pipeline_chunk > 0
-                                  ? std::min(engine_config_.pipeline_chunk, stage.size())
-                                  : stage.size();
-    dt::TypeCursor cur(&rflat, r->count);  // used only off the plan fastpath
-    std::uint64_t chunks = 0;
-    for (std::size_t pos = 0; pos < total; pos += chunk) {
-        const std::size_t n = std::min(chunk, total - pos);
-        std::span<std::byte> slice = stage.first(n);
-        produce(static_cast<std::uint64_t>(pos), slice);
-        const std::span<const std::byte> piece(slice.data(), n);
-        if (rdense) {
-            std::memcpy(rbase + pos, piece.data(), n);
-        } else if (engine_config_.enable_plan_fastpath) {
-            r->type.plan().unpack_range(rflat, rbase, r->count, pos, piece, &counters_);
-        } else {
-            const std::size_t u = dt::unpack_bytes(rbase, cur, piece);
-            NNCOMM_CHECK(u == n);
-        }
-        ++chunks;
-    }
-    timers_.add_ns(Phase::Comm,
-                   static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                                  std::chrono::steady_clock::now() - t0)
-                                                  .count()));
-    if (observe) {
-        const auto& syn = world_->synthetic;
-        world_->proto->observe_rdzv(
-            rank_, dest, family, static_cast<double>(total),
-            observed_ns(*world_, syn.rdzv_base_ns, syn.rdzv_per_byte_ns, total, t0));
-        ++counters_.rt_proto_adapt_updates;
-    }
-
-    r->env = std::move(header);
-    r->direct_bytes = total;
-    r->zero_copy = true;
-    r->matched.store(true, std::memory_order_release);
-    lk.unlock();
-    detail::pulse(box, counters_, /*notify=*/true);
-    ++counters_.rt_zero_copy_msgs;
-    ++counters_.rt_rdzv_pipelined_msgs;
-    counters_.rt_rdzv_pipelined_chunks += chunks;
-    counters_.rt_bytes_copied += total;  // the copy-out pass
-    return true;
-}
-
 std::size_t Comm::progress() {
     if (!world_->policy.enabled) return 0;
     return detail::progress_world(*world_, rank_, counters_);
@@ -1646,7 +1558,6 @@ Comm Comm::dup() {
     c.rendezvous_threshold_ = rendezvous_threshold_;
     c.threshold_pinned_ = threshold_pinned_;
     c.adaptive_protocol_ = adaptive_protocol_;
-    c.rendezvous_pipeline_ = rendezvous_pipeline_;
     return c;
 }
 

@@ -203,13 +203,6 @@ public:
     /// rt_proto_threshold_bytes_{hi,lo} water marks.
     std::size_t effective_rendezvous_threshold(int dest, const dt::Datatype& type);
 
-    /// Chunk-pipelined rendezvous for staged collective sends (on by
-    /// default): packing chunk k+1 overlaps the copy-out of chunk k through
-    /// a small cache-hot window instead of staging the whole payload first.
-    /// coll::CollRequest consults this before fusing a Pack+Send op pair.
-    void set_rendezvous_pipeline(bool on) { rendezvous_pipeline_ = on; }
-    bool rendezvous_pipeline() const { return rendezvous_pipeline_; }
-
     // -- blocking point-to-point ---------------------------------------------
     void send(const void* buf, std::size_t count, const dt::Datatype& type, int dest, int tag);
     RecvStatus recv(void* buf, std::size_t count, const dt::Datatype& type, int source,
@@ -287,23 +280,6 @@ public:
     /// point-to-point traffic. The NBX sparse exchange (runtime/sparse.cpp)
     /// drives its consensus loop with this.
     ProbeStatus iprobe_i(int source, int tag);
-
-    /// Chunk-pipelined internal-context rendezvous for producer-driven
-    /// staged sends (coll::CollRequest's fused Pack+Send path). If the
-    /// matching receive is already posted, streams the payload in
-    /// engine_config().pipeline_chunk slices: each slice is produced into
-    /// the front of `stage` (produce(pos, slice) must fill slice with
-    /// payload bytes [pos, pos + slice.size())) and immediately copied or
-    /// scattered into the receiver's buffer while the source bytes are
-    /// still cache-hot — pack of chunk k+1 overlaps the copy of chunk k
-    /// instead of a serial whole-message pack-then-copy. Returns false
-    /// (caller falls back to pack-into-staging + isend_i) when the receive
-    /// is unposted, a SchedulePolicy is active, total == 0, or FIFO order
-    /// would be violated — exactly try_rendezvous's degradation rules.
-    /// `family` attributes the cost-model observation.
-    bool try_rendezvous_staged_i(
-        int dest, int tag, std::size_t total, PackFamily family, std::span<std::byte> stage,
-        const std::function<void(std::uint64_t, std::span<std::byte>)>& produce);
 
     /// Matching-context ordinal of this communicator (stable across ranks:
     /// dup trees are numbered deterministically). Keys the ProtoTuneCache's
@@ -387,7 +363,6 @@ private:
     std::size_t rendezvous_threshold_ = kDefaultRendezvousThreshold;
     bool threshold_pinned_ = false;     ///< explicit threshold: static selection
     bool adaptive_protocol_ = true;     ///< consult the learned cost model
-    bool rendezvous_pipeline_ = true;   ///< fuse staged Pack+Send op pairs
     dt::EngineKind engine_kind_ = dt::EngineKind::DualContext;
     dt::EngineConfig engine_config_{};
     PhaseTimers timers_;

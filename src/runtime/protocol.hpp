@@ -250,23 +250,6 @@ public:
         pair(src, dst).fam[static_cast<int>(f)].rdzv.observe(bytes, ns);
     }
 
-    struct LineFits {
-        EwLine::Fit eager_send;
-        EwLine::Fit eager_unpack;
-        EwLine::Fit rdzv;
-    };
-
-    LineFits fits(int src, int dst, PackFamily f) const {
-        LineFits out;
-        if (const PairState* p = pair_if(src, dst)) {
-            const FamilyLines& lines = p->fam[static_cast<int>(f)];
-            out.eager_send = lines.eager_send.fit();
-            out.eager_unpack = lines.eager_unpack.fit();
-            out.rdzv = lines.rdzv.fit();
-        }
-        return out;
-    }
-
     /// The learned crossover for (src, dst, family), or `fallback` (the
     /// communicator's static threshold) while under-sampled.
     std::size_t learned_threshold(int src, int dst, PackFamily f, std::size_t fallback) const {

@@ -171,7 +171,9 @@ TEST(MatOffproc, RemoteAddsAccumulateAcrossOrigins) {
         Vec x(c, 8), y(c, 8);
         x.set_all(1.0);
         m.mult(x, y);
-        if (c.rank() == 0) EXPECT_DOUBLE_EQ(y.at_global(0), 4.0);
+        if (c.rank() == 0) {
+            EXPECT_DOUBLE_EQ(y.at_global(0), 4.0);
+        }
     });
 }
 
@@ -190,7 +192,9 @@ TEST(MatOffproc, InsertFromOneOriginBeatsAddsFromEarlierOrigins) {
         m.mult(x, y);
         // origins 0,1 add 1+1 -> overwritten by origin 2's 100 -> origin 3
         // adds 1: 101.
-        if (c.rank() == 0) EXPECT_DOUBLE_EQ(y.at_global(0), 101.0);
+        if (c.rank() == 0) {
+            EXPECT_DOUBLE_EQ(y.at_global(0), 101.0);
+        }
     });
 }
 

@@ -3,10 +3,10 @@
 # be committed — a gate that silently vanishes (deleted, renamed, or never
 # regenerated after a bench change) is a gate nobody runs.
 #
-# A committed gate whose own "pass" flag is false is reported but does not
-# fail the check: the flags record timing-sensitive speedup targets that
-# vary with the machine that regenerated the file, and the authoritative
-# enforcement is the bench binary's exit code when it runs.
+# Every committed gate file must also record a passing run: a file whose
+# "pass" flag is false documents a claim that does not hold, so the check
+# fails until the bench is fixed (and the file regenerated) or the claim
+# and its gate are retired.
 #
 # Usage: tools/check_bench_gates.sh [repo-root]   (defaults to script's repo)
 set -eu
@@ -24,20 +24,20 @@ for f in $refs; do
     if [ ! -f "$root/$f" ]; then
         echo "MISSING  $f (cited in ROADMAP.md, not on file)"
         status=1
-        continue
-    fi
-    if grep -q '"pass": *false' "$root/$f"; then
-        echo "WARN     $f (committed with \"pass\": false — regenerate on a quiet machine)"
-    else
-        echo "ok       $f"
     fi
 done
 
-# The reverse direction: a committed gate file the ROADMAP does not cite is
-# probably a stale artifact or a missing ROADMAP entry. Advisory only.
 for path in "$root"/BENCH_*.json; do
     [ -e "$path" ] || continue
     f=$(basename "$path")
+    if grep -q '"pass": *false' "$path"; then
+        echo "FAIL     $f (committed with \"pass\": false)"
+        status=1
+    else
+        echo "ok       $f"
+    fi
+    # A committed gate file the ROADMAP does not cite is probably a stale
+    # artifact or a missing ROADMAP entry. Advisory only.
     case " $refs " in
         *" $f "*) ;;
         *) echo "UNCITED  $f (on file but not in ROADMAP.md's gate list)" ;;
