@@ -1,46 +1,15 @@
-// Rooted collectives: binomial broadcast, gather(v), scatter(v).
+// Rooted collectives: the binomial broadcast.
 //
-// The tree/fan patterns live in schedule.cpp as Schedule builders; the
-// blocking entry points here are build + start + wait wrappers around the
-// icoll functions and produce byte-identical results.
-#include <vector>
-
+// The tree lives in schedule.cpp as a Schedule builder; the blocking entry
+// point here is a build + start + wait wrapper around ibcast. The binomial
+// reduce under allreduce is the same kind of wrapper, templated on the
+// element type in collectives.hpp.
 #include "coll/collectives.hpp"
-#include "coll/schedule.hpp"
 
 namespace nncomm::coll {
 
 void bcast(rt::Comm& comm, void* buf, std::size_t count, const dt::Datatype& type, int root) {
     ibcast(comm, buf, count, type, root).wait();
-}
-
-void gatherv(rt::Comm& comm, const void* sendbuf, std::size_t sendcount,
-             const dt::Datatype& sendtype, void* recvbuf,
-             std::span<const std::size_t> recvcounts, std::span<const std::size_t> displs,
-             const dt::Datatype& recvtype, int root) {
-    igatherv(comm, sendbuf, sendcount, sendtype, recvbuf, recvcounts, displs, recvtype, root)
-        .wait();
-}
-
-void gather(rt::Comm& comm, const void* sendbuf, std::size_t sendcount,
-            const dt::Datatype& sendtype, void* recvbuf, std::size_t recvcount,
-            const dt::Datatype& recvtype, int root) {
-    const auto n = static_cast<std::size_t>(comm.size());
-    std::vector<std::size_t> counts;
-    std::vector<std::size_t> displs;
-    if (comm.rank() == root) {
-        counts.assign(n, recvcount);
-        displs.resize(n);
-        for (std::size_t i = 0; i < n; ++i) displs[i] = i * recvcount;
-    }
-    gatherv(comm, sendbuf, sendcount, sendtype, recvbuf, counts, displs, recvtype, root);
-}
-
-void scatterv(rt::Comm& comm, const void* sendbuf, std::span<const std::size_t> sendcounts,
-              std::span<const std::size_t> displs, const dt::Datatype& sendtype, void* recvbuf,
-              std::size_t recvcount, const dt::Datatype& recvtype, int root) {
-    iscatterv(comm, sendbuf, sendcounts, displs, sendtype, recvbuf, recvcount, recvtype, root)
-        .wait();
 }
 
 }  // namespace nncomm::coll

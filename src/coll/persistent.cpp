@@ -1,6 +1,5 @@
 #include "coll/persistent.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "runtime/protocol.hpp"
@@ -104,19 +103,6 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             }
             continue;
         }
-        if (svol > 0) {
-            // Boundary contract shared with try_rendezvous / phase_protocol
-            // / netsim: rendezvous iff nonempty AND svol >= threshold. The
-            // svol > 0 guard above supplies the nonempty half; exactly-at-
-            // threshold volumes go rendezvous on every layer. Adaptive
-            // plans overwrite the proto after the binned sort, from the
-            // tune cache (the sort keys — bytes, rank — never depend on
-            // it).
-            sends.push_back({static_cast<int>(i), sendcounts[i], sdispls[i], sendtypes[i],
-                             svol,
-                             svol >= comm.rendezvous_threshold() ? rt::Protocol::Rendezvous
-                                                                 : rt::Protocol::Eager});
-        }
         if (rvol > 0) {
             // Matching type signatures make rvol here equal svol on the
             // source, so both ends freeze the same protocol decision —
@@ -124,21 +110,23 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             // same uniformity every collective already demands of its
             // arguments).
             recvs.push_back({static_cast<int>(i), recvcounts[i], rdispls[i], recvtypes[i],
-                             rvol, adaptive || rvol >= comm.rendezvous_threshold()});
+                             rvol,
+                             adaptive ||
+                                 rt::rendezvous_eligible(rvol, comm.rendezvous_threshold())});
         }
     }
 
-    // The binned send order, frozen at plan time: zero-volume peers never
-    // made it into sends; the rest go smallest volume first so cheap peers
-    // are not delayed behind expensive noncontiguous packing, with the
-    // small/large boundary ordered exactly as the one-shot binned
-    // algorithm orders it.
-    const std::uint64_t small = config.small_msg_threshold;
-    std::sort(sends.begin(), sends.end(), [small](const SendPeer& a, const SendPeer& b) {
-        const bool as = a.bytes < small, bs = b.bytes < small;
-        if (as != bs) return as;
-        return a.bytes < b.bytes || (a.bytes == b.bytes && a.rank < b.rank);
-    });
+    // The binned send order, frozen at plan time, so cheap peers are not
+    // delayed behind expensive noncontiguous packing. Adaptive plans
+    // overwrite the proto below from the tune cache (the order never
+    // depends on it).
+    for (const BinnedPeer& p : binned_send_order(rank, sendcounts, sendtypes)) {
+        const auto d = static_cast<std::size_t>(p.rank);
+        sends.push_back({p.rank, sendcounts[d], sdispls[d], sendtypes[d], p.bytes,
+                         rt::rendezvous_eligible(p.bytes, comm.rendezvous_threshold())
+                             ? rt::Protocol::Rendezvous
+                             : rt::Protocol::Eager});
+    }
     send_peers_ = sends.size();
     recv_peers_ = recvs.size();
 
@@ -170,7 +158,8 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             for (const SendPeer& p : sends) {
                 const std::size_t thr = comm.effective_rendezvous_threshold(p.rank, p.type);
                 entry.thresholds.push_back(thr);
-                entry.send_rdzv.push_back(use_rma ? 2 : (p.bytes >= thr ? 1 : 0));
+                entry.send_rdzv.push_back(
+                    use_rma ? 2 : (rt::rendezvous_eligible(p.bytes, thr) ? 1 : 0));
             }
             frozen = cache.freeze(sig, std::move(entry));
         }
@@ -224,8 +213,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         request_ = CollRequest(
             *comm_, build_alltoallw_rma_schedule(rank, static_cast<int>(n), sendcounts,
                                                  sdispls, sendtypes, recvcounts, rdispls,
-                                                 recvtypes, target_offsets, my_offsets,
-                                                 config.small_msg_threshold));
+                                                 recvtypes, target_offsets, my_offsets));
         request_.set_window(&win_);
         request_.set_pack_engine(engine_kind_);
         return;

@@ -22,8 +22,6 @@ namespace {
 constexpr int kTagAllgatherv = rt::kInternalTagBase + 0x100;
 constexpr int kTagAlltoallw = rt::kInternalTagBase + 0x200;
 constexpr int kTagBcast = rt::kInternalTagBase + 0x300;
-constexpr int kTagGather = rt::kInternalTagBase + 0x301;
-constexpr int kTagScatter = rt::kInternalTagBase + 0x302;
 constexpr int kTagReduce = rt::kInternalTagBase + 1;
 
 // Volume hint for one phase: the algorithm knows exactly how many bytes a
@@ -31,12 +29,8 @@ constexpr int kTagReduce = rt::kInternalTagBase + 1;
 // receives are preposted by the executor) and small latency-bound steps
 // stay eager without consulting the size heuristic per message.
 rt::Protocol phase_protocol(std::size_t bytes, std::size_t threshold) {
-    // Shared boundary contract (runtime/comm.cpp try_rendezvous,
-    // coll/persistent.cpp, netsim/sim.cpp): rendezvous iff the message is
-    // nonempty and bytes >= threshold. Without the bytes > 0 guard a
-    // threshold of 0 would hand zero-byte steps a Rendezvous hint the
-    // runtime then has to walk back.
-    return (bytes > 0 && bytes >= threshold) ? rt::Protocol::Rendezvous : rt::Protocol::Eager;
+    return rt::rendezvous_eligible(bytes, threshold) ? rt::Protocol::Rendezvous
+                                                     : rt::Protocol::Eager;
 }
 
 std::ptrdiff_t block_offset(std::span<const std::size_t> displs, const dt::Datatype& elem,
@@ -192,6 +186,20 @@ Schedule build_allgatherv_schedule(int rank, int nranks, AllgathervAlgo algo,
 // ---------------------------------------------------------------------------
 // alltoallw builders
 
+std::vector<BinnedPeer> binned_send_order(int rank, std::span<const std::size_t> sendcounts,
+                                          std::span<const dt::Datatype> sendtypes) {
+    std::vector<BinnedPeer> peers;
+    for (std::size_t d = 0; d < sendcounts.size(); ++d) {
+        if (static_cast<int>(d) == rank) continue;
+        const std::uint64_t bytes = static_cast<std::uint64_t>(sendcounts[d]) * sendtypes[d].size();
+        if (bytes > 0) peers.push_back({static_cast<int>(d), bytes});
+    }
+    std::sort(peers.begin(), peers.end(), [](const BinnedPeer& a, const BinnedPeer& b) {
+        return a.bytes < b.bytes || (a.bytes == b.bytes && a.rank < b.rank);
+    });
+    return peers;
+}
+
 Schedule build_alltoallw_schedule(int rank, int nranks, AlltoallwAlgo algo,
                                   std::span<const std::size_t> sendcounts,
                                   std::span<const std::ptrdiff_t> sdispls,
@@ -287,40 +295,20 @@ Schedule build_alltoallw_schedule(int rank, int nranks, AlltoallwAlgo algo,
     }
     if (static_cast<std::uint64_t>(sendcounts[r]) * sendtypes[r].size() > 0) self_copy();
 
-    struct Peer {
-        int rank;
-        std::uint64_t volume;
-    };
-    std::vector<Peer> small_bin, large_bin;
-    for (int dst = 0; dst < n; ++dst) {
-        if (dst == rank) continue;
-        const auto d = static_cast<std::size_t>(dst);
-        const std::uint64_t vol =
-            static_cast<std::uint64_t>(sendcounts[d]) * sendtypes[d].size();
-        if (vol == 0) continue;  // the zero bin: completely exempted
-        (vol < small_msg_threshold ? small_bin : large_bin).push_back({dst, vol});
-    }
-    auto by_volume = [](const Peer& a, const Peer& b) {
-        return a.volume < b.volume || (a.volume == b.volume && a.rank < b.rank);
-    };
-    std::sort(small_bin.begin(), small_bin.end(), by_volume);
-    std::sort(large_bin.begin(), large_bin.end(), by_volume);
-
-    auto push_peer_send = [&](const Peer& p, rt::Protocol proto) {
+    for (const BinnedPeer& p : binned_send_order(rank, sendcounts, sendtypes)) {
         const auto d = static_cast<std::size_t>(p.rank);
         ScheduleOp snd;
         snd.kind = ScheduleOpKind::Send;
         snd.peer = p.rank;
         snd.tag_offset = kBinnedTag;
-        snd.proto = proto;
+        snd.proto = p.bytes < small_msg_threshold ? rt::Protocol::Eager
+                                                  : rt::Protocol::Rendezvous;
         snd.a = {BufRef::Space::Send, sdispls[d]};
         snd.count = sendcounts[d];
         snd.type = sendtypes[d];
-        snd.bytes = p.volume;
+        snd.bytes = p.bytes;
         s.ops.push_back(std::move(snd));
-    };
-    for (const Peer& p : small_bin) push_peer_send(p, rt::Protocol::Eager);
-    for (const Peer& p : large_bin) push_peer_send(p, rt::Protocol::Rendezvous);
+    }
     return s;
 }
 
@@ -332,8 +320,7 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
                                       std::span<const std::ptrdiff_t> rdispls,
                                       std::span<const dt::Datatype> recvtypes,
                                       std::span<const std::uint64_t> target_offsets,
-                                      std::span<const std::uint64_t> my_offsets,
-                                      std::size_t small_msg_threshold) {
+                                      std::span<const std::uint64_t> my_offsets) {
     Schedule s;
     s.tag_base = kTagAlltoallw;  // no wire tags; kept for lane bookkeeping
     const int n = nranks;
@@ -371,27 +358,8 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
         s.ops.push_back(std::move(cp));
     }
 
-    struct Peer {
-        int rank;
-        std::uint64_t volume;
-    };
-    std::vector<Peer> small_bin, large_bin;
-    for (int dst = 0; dst < n; ++dst) {
-        if (dst == rank) continue;
-        const auto d = static_cast<std::size_t>(dst);
-        const std::uint64_t vol =
-            static_cast<std::uint64_t>(sendcounts[d]) * sendtypes[d].size();
-        if (vol == 0) continue;  // the zero bin: completely exempted
-        (vol < small_msg_threshold ? small_bin : large_bin).push_back({dst, vol});
-    }
-    auto by_volume = [](const Peer& a, const Peer& b) {
-        return a.volume < b.volume || (a.volume == b.volume && a.rank < b.rank);
-    };
-    std::sort(small_bin.begin(), small_bin.end(), by_volume);
-    std::sort(large_bin.begin(), large_bin.end(), by_volume);
-
     std::vector<int> put_idx;
-    auto push_put = [&](const Peer& p) {
+    for (const BinnedPeer& p : binned_send_order(rank, sendcounts, sendtypes)) {
         const auto d = static_cast<std::size_t>(p.rank);
         ScheduleOp put;
         put.kind = ScheduleOpKind::Put;
@@ -403,13 +371,11 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
         put.type = sendtypes[d];
         put.b = {BufRef::Space::Win,
                  static_cast<std::ptrdiff_t>(target_offsets[d])};
-        put.bytes = p.volume;
+        put.bytes = p.bytes;
         put.deps = {open_idx};
         s.ops.push_back(std::move(put));
         put_idx.push_back(static_cast<int>(s.ops.size()) - 1);
-    };
-    for (const Peer& p : small_bin) push_put(p);
-    for (const Peer& p : large_bin) push_put(p);
+    }
 
     // Round 2: close the epoch. After this fence retires, every peer's
     // puts into this rank's region are complete and visible.
@@ -496,96 +462,6 @@ Schedule build_bcast_schedule(int rank, int nranks, int root, std::size_t count,
     return s;
 }
 
-Schedule build_gatherv_schedule(int rank, int nranks, int root, std::size_t sendcount,
-                                const dt::Datatype& sendtype,
-                                std::span<const std::size_t> recvcounts,
-                                std::span<const std::size_t> displs,
-                                const dt::Datatype& recvtype) {
-    Schedule s;
-    s.tag_base = kTagGather;
-    if (rank != root) {
-        ScheduleOp snd;
-        snd.kind = ScheduleOpKind::Send;
-        snd.peer = root;
-        snd.a = {BufRef::Space::Send, 0};
-        snd.count = sendcount;
-        snd.type = sendtype;
-        snd.bytes = static_cast<std::uint64_t>(sendcount) * sendtype.size();
-        s.ops.push_back(std::move(snd));
-        return s;
-    }
-    for (int i = 0; i < nranks; ++i) {
-        const auto si = static_cast<std::size_t>(i);
-        const std::ptrdiff_t off = block_offset(displs, recvtype, i);
-        if (i == rank) {
-            ScheduleOp cp;
-            cp.kind = ScheduleOpKind::Copy;
-            cp.a = {BufRef::Space::Send, 0};
-            cp.count = sendcount;
-            cp.type = sendtype;
-            cp.b = {BufRef::Space::Recv, off};
-            cp.bcount = recvcounts[si];
-            cp.btype = recvtype;
-            s.ops.push_back(std::move(cp));
-        } else {
-            ScheduleOp rcv;
-            rcv.kind = ScheduleOpKind::Recv;
-            rcv.peer = i;
-            rcv.a = {BufRef::Space::Recv, off};
-            rcv.count = recvcounts[si];
-            rcv.type = recvtype;
-            rcv.bytes = static_cast<std::uint64_t>(recvcounts[si]) * recvtype.size();
-            s.ops.push_back(std::move(rcv));
-        }
-    }
-    return s;
-}
-
-Schedule build_scatterv_schedule(int rank, int nranks, int root,
-                                 std::span<const std::size_t> sendcounts,
-                                 std::span<const std::size_t> displs,
-                                 const dt::Datatype& sendtype, std::size_t recvcount,
-                                 const dt::Datatype& recvtype) {
-    Schedule s;
-    s.tag_base = kTagScatter;
-    if (rank != root) {
-        ScheduleOp rcv;
-        rcv.kind = ScheduleOpKind::Recv;
-        rcv.peer = root;
-        rcv.a = {BufRef::Space::Recv, 0};
-        rcv.count = recvcount;
-        rcv.type = recvtype;
-        rcv.bytes = static_cast<std::uint64_t>(recvcount) * recvtype.size();
-        s.ops.push_back(std::move(rcv));
-        return s;
-    }
-    for (int i = 0; i < nranks; ++i) {
-        const auto si = static_cast<std::size_t>(i);
-        const std::ptrdiff_t off = block_offset(displs, sendtype, i);
-        if (i == rank) {
-            ScheduleOp cp;
-            cp.kind = ScheduleOpKind::Copy;
-            cp.a = {BufRef::Space::Send, off};
-            cp.count = sendcounts[si];
-            cp.type = sendtype;
-            cp.b = {BufRef::Space::Recv, 0};
-            cp.bcount = recvcount;
-            cp.btype = recvtype;
-            s.ops.push_back(std::move(cp));
-        } else {
-            ScheduleOp snd;
-            snd.kind = ScheduleOpKind::Send;
-            snd.peer = i;
-            snd.a = {BufRef::Space::Send, off};
-            snd.count = sendcounts[si];
-            snd.type = sendtype;
-            snd.bytes = static_cast<std::uint64_t>(sendcounts[si]) * sendtype.size();
-            s.ops.push_back(std::move(snd));
-        }
-    }
-    return s;
-}
-
 Schedule build_reduce_schedule(int rank, int nranks, int root, std::size_t nbytes,
                                ReduceOp op, ReduceFn fn, std::size_t elems) {
     Schedule s;
@@ -593,8 +469,8 @@ Schedule build_reduce_schedule(int rank, int nranks, int root, std::size_t nbyte
     const int n = nranks;
     // Rotate ranks so the tree is rooted at `root`. Receives prepost into
     // per-phase staging slots (distinct sources, one tag); the Reduce ops
-    // chain on each other so the elementwise applications run in exactly
-    // the ascending-mask order of the blocking template.
+    // chain on each other so the elementwise applications run in
+    // ascending-mask order.
     const int vrank = (rank - root + n) % n;
     int prev_reduce = -1;
     int mask = 1;
@@ -772,6 +648,48 @@ void CollRequest::post_send(std::size_t i) {
     state_[i] = kPosted;
 }
 
+void CollRequest::pack_into(std::size_t i, std::byte* dst) {
+    const ScheduleOp& op = sched_.ops[i];
+    const std::byte* src = resolve(op.a);
+    const auto total = static_cast<std::size_t>(op.bytes);
+    const dt::PackPlan& plan = op.type.plan();
+    if (plan.specialized()) {
+        // Contiguous / constant-stride layouts: the compiled kernel writes
+        // the destination directly — no engine, no scratch.
+        PhaseScope scope(step_timers_, Phase::Pack);
+        plan.pack(op.type.flat(), src, op.count, std::span<std::byte>(dst, total), &step_);
+        ++step_.plan_hits;
+        step_.bytes_packed += op.bytes;
+        return;
+    }
+    // Irregular layout: a persistent engine, constructed on the first
+    // execution and reset (not rebuilt) afterwards.
+    auto& eng = engines_[i];
+    if (!eng) {
+        eng = dt::make_engine(engine_kind_, src, op.type, op.count, comm_->engine_config());
+    } else {
+        eng->reset(src);
+    }
+    std::size_t off = 0;
+    dt::ChunkView chunk;
+    while (eng->next_chunk(chunk)) {
+        if (chunk.dense) {
+            PhaseScope scope(step_timers_, Phase::Pack);
+            for (const auto& [ptr, len] : chunk.iov) {
+                std::memcpy(dst + off, ptr, len);
+                off += len;
+            }
+        } else {
+            std::memcpy(dst + off, chunk.packed.data(), chunk.packed.size());
+            off += chunk.packed.size();
+        }
+    }
+    NNCOMM_CHECK(off == total);
+    step_ += eng->counters();
+    step_timers_ += eng->timers();
+    eng->reset_stats();
+}
+
 void CollRequest::run_local(std::size_t i) {
     const ScheduleOp& op = sched_.ops[i];
     switch (op.kind) {
@@ -792,49 +710,9 @@ void CollRequest::run_local(std::size_t i) {
             }
             break;
         }
-        case ScheduleOpKind::Pack: {
-            const std::byte* src = resolve(op.a);
-            auto& buf = staging_[static_cast<std::size_t>(op.slot)];
-            const dt::PackPlan& plan = op.type.plan();
-            if (plan.specialized()) {
-                // Contiguous / constant-stride layouts: the compiled kernel
-                // writes the persistent buffer directly — no engine, no
-                // scratch.
-                PhaseScope scope(step_timers_, Phase::Pack);
-                plan.pack(op.type.flat(), src, op.count, std::span<std::byte>(buf), &step_);
-                ++step_.plan_hits;
-                step_.bytes_packed += op.bytes;
-                break;
-            }
-            // Irregular layout: a persistent engine, constructed on the
-            // first execution and reset (not rebuilt) afterwards.
-            auto& eng = engines_[i];
-            if (!eng) {
-                eng = dt::make_engine(engine_kind_, src, op.type, op.count,
-                                      comm_->engine_config());
-            } else {
-                eng->reset(src);
-            }
-            std::size_t off = 0;
-            dt::ChunkView chunk;
-            while (eng->next_chunk(chunk)) {
-                if (chunk.dense) {
-                    PhaseScope scope(step_timers_, Phase::Pack);
-                    for (const auto& [ptr, len] : chunk.iov) {
-                        std::memcpy(buf.data() + off, ptr, len);
-                        off += len;
-                    }
-                } else {
-                    std::memcpy(buf.data() + off, chunk.packed.data(), chunk.packed.size());
-                    off += chunk.packed.size();
-                }
-            }
-            NNCOMM_CHECK(off == buf.size());
-            step_ += eng->counters();
-            step_timers_ += eng->timers();
-            eng->reset_stats();
+        case ScheduleOpKind::Pack:
+            pack_into(i, staging_[static_cast<std::size_t>(op.slot)].data());
             break;
-        }
         case ScheduleOpKind::Unpack: {
             PhaseScope scope(step_timers_, Phase::Pack);
             if (op.b.space == BufRef::Space::Win) {
@@ -856,48 +734,12 @@ void CollRequest::run_local(std::size_t i) {
             break;
         }
         case ScheduleOpKind::Put: {
-            // Fused pack+put: the frozen plan kernels (or the persistent
-            // engine for irregular layouts) write straight into the target
+            // Fused pack+put: the pack writes straight into the target
             // rank's window region — no staging slot, no envelope, no CTS.
             NNCOMM_CHECK(win_ != nullptr);
-            const std::byte* src = resolve(op.a);
             const auto total = static_cast<std::size_t>(op.bytes);
-            auto* dst = static_cast<std::byte*>(
-                win_->translate(op.peer, static_cast<std::size_t>(op.b.offset), total));
-            const dt::PackPlan& plan = op.type.plan();
-            if (plan.specialized()) {
-                PhaseScope scope(step_timers_, Phase::Pack);
-                plan.pack(op.type.flat(), src, op.count, std::span<std::byte>(dst, total),
-                          &step_);
-                ++step_.plan_hits;
-                step_.bytes_packed += op.bytes;
-            } else {
-                auto& eng = engines_[i];
-                if (!eng) {
-                    eng = dt::make_engine(engine_kind_, src, op.type, op.count,
-                                          comm_->engine_config());
-                } else {
-                    eng->reset(src);
-                }
-                std::size_t off = 0;
-                dt::ChunkView chunk;
-                while (eng->next_chunk(chunk)) {
-                    if (chunk.dense) {
-                        PhaseScope scope(step_timers_, Phase::Pack);
-                        for (const auto& [ptr, len] : chunk.iov) {
-                            std::memcpy(dst + off, ptr, len);
-                            off += len;
-                        }
-                    } else {
-                        std::memcpy(dst + off, chunk.packed.data(), chunk.packed.size());
-                        off += chunk.packed.size();
-                    }
-                }
-                NNCOMM_CHECK(off == total);
-                step_ += eng->counters();
-                step_timers_ += eng->timers();
-                eng->reset_stats();
-            }
+            pack_into(i, static_cast<std::byte*>(win_->translate(
+                             op.peer, static_cast<std::size_t>(op.b.offset), total)));
             win_->record_put(total);
             break;
         }
@@ -1061,42 +903,6 @@ CollRequest ibcast(rt::Comm& comm, void* buf, std::size_t count, const dt::Datat
     NNCOMM_CHECK_MSG(root >= 0 && root < comm.size(), "bcast: invalid root");
     CollRequest req(comm, build_bcast_schedule(comm.rank(), comm.size(), root, count, type));
     req.start(nullptr, buf);
-    return req;
-}
-
-CollRequest igatherv(rt::Comm& comm, const void* sendbuf, std::size_t sendcount,
-                     const dt::Datatype& sendtype, void* recvbuf,
-                     std::span<const std::size_t> recvcounts,
-                     std::span<const std::size_t> displs, const dt::Datatype& recvtype,
-                     int root) {
-    const int n = comm.size();
-    NNCOMM_CHECK_MSG(root >= 0 && root < n, "gatherv: invalid root");
-    if (comm.rank() == root) {
-        NNCOMM_CHECK_MSG(recvcounts.size() == static_cast<std::size_t>(n) &&
-                             displs.size() == static_cast<std::size_t>(n),
-                         "gatherv: root needs one count/displacement per rank");
-    }
-    CollRequest req(comm, build_gatherv_schedule(comm.rank(), n, root, sendcount, sendtype,
-                                                 recvcounts, displs, recvtype));
-    req.start(sendbuf, recvbuf);
-    return req;
-}
-
-CollRequest iscatterv(rt::Comm& comm, const void* sendbuf,
-                      std::span<const std::size_t> sendcounts,
-                      std::span<const std::size_t> displs, const dt::Datatype& sendtype,
-                      void* recvbuf, std::size_t recvcount, const dt::Datatype& recvtype,
-                      int root) {
-    const int n = comm.size();
-    NNCOMM_CHECK_MSG(root >= 0 && root < n, "scatterv: invalid root");
-    if (comm.rank() == root) {
-        NNCOMM_CHECK_MSG(sendcounts.size() == static_cast<std::size_t>(n) &&
-                             displs.size() == static_cast<std::size_t>(n),
-                         "scatterv: root needs one count/displacement per rank");
-    }
-    CollRequest req(comm, build_scatterv_schedule(comm.rank(), n, root, sendcounts, displs,
-                                                  sendtype, recvcount, recvtype));
-    req.start(sendbuf, recvbuf);
     return req;
 }
 

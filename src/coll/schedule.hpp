@@ -18,19 +18,19 @@
 //     exactly one progress pass, which is what the split-phase VecScatter
 //     and the overlap benches interleave with interior compute.
 //
-// Blocking entry points (coll::allgatherv, coll::alltoallw, coll::bcast,
-// ...) are build + start + wait wrappers around the nonblocking icoll
-// functions declared at the bottom, and produce byte-identical results to
-// the pre-schedule implementations.
+// Every blocking entry point in collectives.hpp (allgatherv, alltoallw,
+// bcast, reduce, ...) is a build + start + wait wrapper around one of the
+// nonblocking icoll functions declared at the bottom.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "coll/collectives.hpp"
+#include "coll/config.hpp"
 #include "datatype/engine.hpp"
 
 namespace nncomm::rt {
@@ -162,31 +162,33 @@ Schedule build_alltoallw_schedule(int rank, int nranks, AlltoallwAlgo algo,
                                   std::span<const dt::Datatype> recvtypes,
                                   std::size_t small_msg_threshold);
 
+/// One destination of a binned alltoallw send sweep.
+struct BinnedPeer {
+    int rank;
+    std::uint64_t bytes;
+};
+
+/// The paper's §4.2.2 send order, shared by the two-sided and one-sided
+/// alltoallw schedules and the persistent plans: zero-volume destinations
+/// (and this rank) are dropped, the rest go by ascending volume, ties by
+/// rank. Every small-bin volume is below every large-bin one, so this is
+/// exactly "small bin before large bin, each by volume".
+std::vector<BinnedPeer> binned_send_order(int rank, std::span<const std::size_t> sendcounts,
+                                          std::span<const dt::Datatype> sendtypes);
+
 Schedule build_bcast_schedule(int rank, int nranks, int root, std::size_t count,
                               const dt::Datatype& type);
 
-Schedule build_gatherv_schedule(int rank, int nranks, int root, std::size_t sendcount,
-                                const dt::Datatype& sendtype,
-                                std::span<const std::size_t> recvcounts,
-                                std::span<const std::size_t> displs,
-                                const dt::Datatype& recvtype);
-
-Schedule build_scatterv_schedule(int rank, int nranks, int root,
-                                 std::span<const std::size_t> sendcounts,
-                                 std::span<const std::size_t> displs,
-                                 const dt::Datatype& sendtype, std::size_t recvcount,
-                                 const dt::Datatype& recvtype);
-
 /// Binomial-tree reduce over `nbytes` of raw data (elems elements for the
-/// reduction kernel). The mask-ascending apply order of the blocking
-/// template is preserved exactly (Reduce ops chain on each other), so
-/// floating-point results are bit-identical.
+/// reduction kernel). The Reduce ops chain on each other, so children fold
+/// in ascending-mask order whatever order their messages arrive in, and
+/// floating-point results never depend on timing.
 Schedule build_reduce_schedule(int rank, int nranks, int root, std::size_t nbytes,
                                ReduceOp op, ReduceFn fn, std::size_t elems);
 
 /// One-sided alltoallw over a pre-negotiated rt::Win: round 0 opens the
 /// access epoch (Fence), round 1 fires one fused pack+Put per nonzero
-/// destination (binned small-first like the two-sided Binned schedule) plus
+/// destination (in binned_send_order, like the two-sided Binned schedule) plus
 /// the self Copy, round 2 closes the epoch (Fence, depending on every Put),
 /// round 3 Unpacks each source's bytes out of this rank's own window
 /// region. No Send/Recv, no CTS, no staging slots. `target_offsets[d]` is
@@ -202,8 +204,7 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
                                       std::span<const std::ptrdiff_t> rdispls,
                                       std::span<const dt::Datatype> recvtypes,
                                       std::span<const std::uint64_t> target_offsets,
-                                      std::span<const std::uint64_t> my_offsets,
-                                      std::size_t small_msg_threshold);
+                                      std::span<const std::uint64_t> my_offsets);
 
 // ---------------------------------------------------------------------------
 // CollRequest — the schedule executor
@@ -291,6 +292,8 @@ private:
     void post_recv(std::size_t i);
     void post_send(std::size_t i);
     void run_local(std::size_t i);
+    /// Packs op i's typed source into op.bytes at `dst` (Pack and Put ops).
+    void pack_into(std::size_t i, std::byte* dst);
     void mark_done(std::size_t i);
     void finalize();
     std::byte* resolve(const BufRef& ref) const;
@@ -343,23 +346,12 @@ CollRequest ialltoallw(rt::Comm& comm, const void* sendbuf,
 CollRequest ibcast(rt::Comm& comm, void* buf, std::size_t count, const dt::Datatype& type,
                    int root);
 
-CollRequest igatherv(rt::Comm& comm, const void* sendbuf, std::size_t sendcount,
-                     const dt::Datatype& sendtype, void* recvbuf,
-                     std::span<const std::size_t> recvcounts,
-                     std::span<const std::size_t> displs, const dt::Datatype& recvtype,
-                     int root);
-
-CollRequest iscatterv(rt::Comm& comm, const void* sendbuf,
-                      std::span<const std::size_t> sendcounts,
-                      std::span<const std::size_t> displs, const dt::Datatype& sendtype,
-                      void* recvbuf, std::size_t recvcount, const dt::Datatype& recvtype,
-                      int root);
-
 /// Nonblocking binomial reduce; same in-place contract as coll::reduce.
 /// `data` must stay untouched until completion.
 template <typename T>
 CollRequest ireduce(rt::Comm& comm, T* data, std::size_t n, ReduceOp op, int root) {
     static_assert(std::is_arithmetic_v<T>);
+    NNCOMM_CHECK_MSG(root >= 0 && root < comm.size(), "reduce: invalid root");
     const ReduceFn fn = [](ReduceOp o, void* acc, const void* in, std::size_t cnt) {
         detail::apply_op(o, static_cast<T*>(acc), static_cast<const T*>(in), cnt);
     };

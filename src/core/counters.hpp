@@ -182,10 +182,7 @@ struct StatCounters {
     // benches attest it through these counters.
     std::uint64_t rt_rma_puts = 0;         ///< window puts issued
     std::uint64_t rt_rma_put_bytes = 0;    ///< bytes written by puts
-    std::uint64_t rt_rma_gets = 0;         ///< window gets issued
-    std::uint64_t rt_rma_get_bytes = 0;    ///< bytes read by gets
     std::uint64_t rt_rma_fences = 0;       ///< fence epochs closed
-    std::uint64_t rt_rma_flushes = 0;      ///< per-target / all-target flushes
     std::uint64_t rt_rma_pscw_epochs = 0;  ///< pscw access epochs completed
     std::uint64_t coll_rma_plan_executes = 0;  ///< persistent-plan executes on the RMA path
 
@@ -247,10 +244,7 @@ struct StatCounters {
         }
         rt_rma_puts += o.rt_rma_puts;
         rt_rma_put_bytes += o.rt_rma_put_bytes;
-        rt_rma_gets += o.rt_rma_gets;
-        rt_rma_get_bytes += o.rt_rma_get_bytes;
         rt_rma_fences += o.rt_rma_fences;
-        rt_rma_flushes += o.rt_rma_flushes;
         rt_rma_pscw_epochs += o.rt_rma_pscw_epochs;
         coll_rma_plan_executes += o.coll_rma_plan_executes;
         rt_sparse_exchanges += o.rt_sparse_exchanges;

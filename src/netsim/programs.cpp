@@ -166,7 +166,7 @@ void emit_alltoallw(std::vector<RankProgram>& progs, const ClusterConfig& cluste
             }
             const coll::Schedule sched = coll::build_alltoallw_rma_schedule(
                 r, n, sendcounts, zero_displs, types, recvcounts, zero_displs, types,
-                target_offsets, my_offsets, wl.small_msg_threshold);
+                target_offsets, my_offsets);
             lower_schedule(progs[static_cast<std::size_t>(r)], sched, tag0, &cluster,
                            &wl.pack, wl.block_len, false);
         }

@@ -88,11 +88,7 @@ SimResult Simulator::run(const std::vector<RankProgram>& programs) const {
                 } else if (op.kind == Op::Kind::Send) {
                     // Sender occupied for overhead + serialization; message
                     // arrives one wire latency after it leaves the NIC.
-                    // Protocol split mirrors the runtime's boundary contract
-                    // exactly: rendezvous iff bytes >= threshold AND the
-                    // message is nonempty — Comm::try_rendezvous rejects
-                    // total == 0, so at threshold 0 a zero-byte send must
-                    // not be charged a handshake here either.
+                    // Protocol split: the runtime's rt::rendezvous_eligible.
                     std::size_t threshold = config_.rendezvous_threshold;
                     if (config_.adaptive_protocol && op.bytes > 0) {
                         // Consult the learned crossover first (decision),
@@ -121,7 +117,7 @@ SimResult Simulator::run(const std::vector<RankProgram>& programs) const {
                                                 b * config_.copy_us_per_byte);
                         ++result.adaptive_updates;
                     }
-                    const bool rdv = op.bytes > 0 && op.bytes >= threshold;
+                    const bool rdv = rt::rendezvous_eligible(op.bytes, threshold);
                     double occupied = config_.overhead_us / speed +
                                       static_cast<double>(op.bytes) * config_.us_per_byte;
                     if (rdv) {

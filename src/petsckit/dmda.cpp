@@ -326,81 +326,6 @@ coll::CollRequest DMDA::global_to_local_begin(const Vec& global, std::span<doubl
                             local.data(), g2l_rcounts_, g2l_rdispls_, g2l_rtypes_, config);
 }
 
-void DMDA::local_to_global_add(std::span<const double> local, Vec& global) const {
-    NNCOMM_CHECK_MSG(global.local_size() == owned_.volume() * dof_,
-                     "local_to_global_add: global vector does not match this DMDA");
-    NNCOMM_CHECK_MSG(static_cast<Index>(local.size()) == ghosted_.volume() * dof_,
-                     "local_to_global_add: local array has the wrong size");
-    constexpr int kTag = 0x6DDA;
-
-    // Each neighbor receives my ghost slab facing it — exactly the region
-    // its global_to_local sends me (send_box), so I post receives sized by
-    // my own send boxes and accumulate them into the owned region.
-    std::vector<std::vector<double>> recv_bufs(neighbors_.size());
-    std::vector<rt::Request> recv_reqs;
-    recv_reqs.reserve(neighbors_.size());
-    for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-        recv_bufs[i].resize(static_cast<std::size_t>(neighbors_[i].send_box.volume()) *
-                            static_cast<std::size_t>(dof_));
-        recv_reqs.push_back(comm_->irecv(recv_bufs[i].data(), recv_bufs[i].size() * 8,
-                                         dt::Datatype::byte(), neighbors_[i].rank, kTag));
-    }
-
-    // Pack and send my ghost slabs (row-major within the slab).
-    std::vector<std::vector<double>> send_bufs(neighbors_.size());
-    for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-        const GridBox& b = neighbors_[i].recv_box;
-        auto& buf = send_bufs[i];
-        buf.reserve(static_cast<std::size_t>(b.volume()) * static_cast<std::size_t>(dof_));
-        for (Index k = b.zs; k < b.zs + b.zm; ++k) {
-            for (Index j = b.ys; j < b.ys + b.ym; ++j) {
-                const Index l0 = local_index(b.xs, j, k, 0);
-                buf.insert(buf.end(), local.data() + l0,
-                           local.data() + l0 + b.xm * static_cast<Index>(dof_));
-            }
-        }
-        comm_->isend(buf.data(), buf.size() * 8, dt::Datatype::byte(), neighbors_[i].rank,
-                     kTag);
-    }
-
-    // Owned region accumulates locally meanwhile.
-    {
-        double* g = global.data();
-        std::size_t gpos = 0;
-        for (Index k = owned_.zs; k < owned_.zs + owned_.zm; ++k) {
-            for (Index j = owned_.ys; j < owned_.ys + owned_.ym; ++j) {
-                const Index l0 = local_index(owned_.xs, j, k, 0);
-                const auto row = static_cast<std::size_t>(owned_.xm) *
-                                 static_cast<std::size_t>(dof_);
-                for (std::size_t t = 0; t < row; ++t) {
-                    g[gpos + t] += local[static_cast<std::size_t>(l0) + t];
-                }
-                gpos += row;
-            }
-        }
-    }
-
-    comm_->waitall(recv_reqs);
-    for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-        const GridBox& b = neighbors_[i].send_box;  // region of MY owned box
-        double* g = global.data();
-        std::size_t at = 0;
-        for (Index k = b.zs; k < b.zs + b.zm; ++k) {
-            for (Index j = b.ys; j < b.ys + b.ym; ++j) {
-                for (Index i2 = b.xs; i2 < b.xs + b.xm; ++i2) {
-                    const Index gidx =
-                        (((k - owned_.zs) * owned_.ym + (j - owned_.ys)) * owned_.xm +
-                         (i2 - owned_.xs)) *
-                        dof_;
-                    for (int comp = 0; comp < dof_; ++comp, ++at) {
-                        g[gidx + comp] += recv_bufs[i][at];
-                    }
-                }
-            }
-        }
-    }
-}
-
 void DMDA::local_to_global(std::span<const double> local, Vec& global) const {
     NNCOMM_CHECK_MSG(global.local_size() == owned_.volume() * dof_,
                      "local_to_global: global vector does not match this DMDA");

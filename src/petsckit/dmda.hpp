@@ -106,12 +106,6 @@ public:
     /// (insert mode; purely local).
     void local_to_global(std::span<const double> local, Vec& global) const;
 
-    /// Accumulates the entire ghosted array into the global vector: owned
-    /// region plus every ghost point's value added to its owning rank
-    /// (PETSc's DMLocalToGlobal with ADD_VALUES) — the adjoint of
-    /// global_to_local, used for ghosted assembly. Collective.
-    void local_to_global_add(std::span<const double> local, Vec& global) const;
-
     // -- indexing ------------------------------------------------------------------
     /// Global (PETSc-ordering) vector index of grid point (i, j, k),
     /// component c. Works for any point in the domain, owned or not.

@@ -751,7 +751,7 @@ Request Comm::irecv_ctx(void* buf, std::size_t count, const dt::Datatype& type, 
     Mailbox& box = *world_->boxes[static_cast<std::size_t>(rank_)];
     process_arrivals();  // bring the unexpected queues up to date
 
-    // Unexpected-queue scan: take the earliest matching envelope. The
+    // Unexpected-queue search: take the earliest matching envelope. The
     // stashes are receiver-private, so the common posted-receive miss and
     // the probe-then-recv hit are both lock-free.
     const int lo = source == kAnySource ? 0 : source;
@@ -881,18 +881,14 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     if (proto == Protocol::Eager || world_->policy.enabled) return false;
     if (proto == Protocol::Rma) proto = Protocol::Auto;  // no window here: resolve like Auto
     NNCOMM_CHECK(type.valid());
-    // Boundary contract (mirrored by coll/persistent.cpp, coll/schedule.cpp
-    // phase_protocol and netsim/sim.cpp): rendezvous iff total > 0 AND
-    // total >= threshold. `total < threshold_` below is the exact
-    // complement of the >= convention — a message of exactly threshold
-    // bytes attempts rendezvous; a zero-byte message never does, even at
-    // threshold 0.
+    // A zero-byte message never goes rendezvous, whatever the hint; it is
+    // not a protocol decision, so it is not counted as one.
     if (total == 0) return false;
     if (proto == Protocol::Auto) {
         // Auto resolution: the effective threshold is the learned per-pair
         // crossover when adaptation is engaged and confident, the static
         // communicator threshold otherwise.
-        if (total < effective_rendezvous_threshold(dest, type)) {
+        if (!rendezvous_eligible(total, effective_rendezvous_threshold(dest, type))) {
             ++counters_.rt_proto_eager_chosen;
             return false;
         }

@@ -54,7 +54,7 @@
 // thread against a posted-receive registry (sharded by source, ordered
 // across shards by post sequence — MPI's earliest-posted-first), and
 // unmatched envelopes land in receiver-private per-source stashes that
-// irecv/probe scan without locks. Rendezvous senders claim posted receives
+// irecv/probe search without locks. Rendezvous senders claim posted receives
 // directly under the registry lock, gated on the lane's unconsumed count so
 // a large message can never overtake an earlier small one from the same
 // sender. The delivery engine is sharded per destination with an atomic

@@ -75,6 +75,15 @@ inline bool rma_selection_enabled() {
     return enabled;
 }
 
+/// The one eager/rendezvous boundary every layer applies (Comm's send path,
+/// the schedule builders' phase hints, persistent plans, netsim): a message
+/// goes rendezvous iff it is nonempty and at least `threshold` bytes. A
+/// message of exactly `threshold` bytes goes rendezvous; a zero-byte one
+/// never does, even at threshold 0.
+constexpr bool rendezvous_eligible(std::uint64_t bytes, std::uint64_t threshold) {
+    return bytes > 0 && bytes >= threshold;
+}
+
 /// Pack-plan family a protocol observation is attributed to. Mirrors
 /// dt::PackKernel — the copy cost per byte differs by an order of magnitude
 /// between a dense memcpy and an irregular gather, so the crossover does too.

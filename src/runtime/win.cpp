@@ -136,28 +136,6 @@ void Win::put(const void* src, std::size_t bytes, int target, std::size_t target
     record_put(bytes);
 }
 
-void Win::get(void* dst, std::size_t bytes, int target, std::size_t target_offset) {
-    const void* src = translate(target, target_offset, bytes);
-    if (bytes > 0) std::memcpy(dst, src, bytes);
-    ++comm_->counters().rt_rma_gets;
-    comm_->counters().rt_rma_get_bytes += bytes;
-}
-
-void Win::flush(int target) {
-    NNCOMM_CHECK_MSG(valid(), "flush() on null window");
-    NNCOMM_CHECK_MSG(target >= 0 && target < shared_->nranks, "window target out of range");
-    // Puts are synchronous copies on this runtime; completing them is a
-    // matter of publishing the stores.
-    std::atomic_thread_fence(std::memory_order_release);
-    ++comm_->counters().rt_rma_flushes;
-}
-
-void Win::flush_all() {
-    NNCOMM_CHECK_MSG(valid(), "flush_all() on null window");
-    std::atomic_thread_fence(std::memory_order_release);
-    ++comm_->counters().rt_rma_flushes;
-}
-
 void Win::fence_begin() {
     NNCOMM_CHECK_MSG(valid(), "fence_begin() on null window");
     NNCOMM_CHECK_MSG(!fence_open_, "fence_begin() with a fence already open");

@@ -1,11 +1,11 @@
 // One-sided RMA windows over the threaded runtime.
 //
 // A Win exposes every rank's local buffer for direct remote access: a put
-// writes straight into the target's memory, a get reads straight out of it,
-// and no envelope, matching, or clear-to-send traffic ever moves. On this
-// shared-address-space runtime the data transfer itself is a single memcpy
-// (or, for the persistent plans, a fused SIMD pack directly into the target
-// region via translate()); what the window machinery provides is the
+// writes straight into the target's memory, and no envelope, matching, or
+// clear-to-send traffic ever moves. On this shared-address-space runtime
+// the data transfer itself is a single memcpy (or, for the persistent
+// plans, a fused SIMD pack directly into the target region via
+// translate()); what the window machinery provides is the
 // *synchronization*: epochs that tell the target when remotely written data
 // is complete and may be read.
 //
@@ -28,9 +28,6 @@
 //    to a set of origins; each origin start()s access to its targets (waits
 //    for the matching posts), puts, then complete()s (signals the targets);
 //    the target's wait() blocks until every posted origin completed.
-// flush(target)/flush_all() complete outstanding puts mid-epoch: on this
-// runtime puts are synchronous copies, so a flush is a release fence plus
-// accounting — documented here so the cost model stays honest.
 //
 // Win is per-rank and value-semantic over a shared control block, like
 // Comm over WorldState. Not thread-safe; each rank thread owns its handle.
@@ -73,9 +70,8 @@ public:
     /// open and close, never outside.
     void* translate(int target, std::size_t offset, std::size_t bytes);
 
-    /// Contiguous one-sided transfers (memcpy + accounting).
+    /// Contiguous one-sided transfer (memcpy + accounting).
     void put(const void* src, std::size_t bytes, int target, std::size_t target_offset);
-    void get(void* dst, std::size_t bytes, int target, std::size_t target_offset);
     /// Accounts a transfer performed through translate() as one put.
     void record_put(std::size_t bytes);
 
@@ -86,13 +82,6 @@ public:
     void fence();
     void fence_begin();
     bool fence_test();
-
-    /// Completes this rank's outstanding puts to `target` (all targets for
-    /// flush_all) without closing the epoch: a release fence publishes the
-    /// bytes; the target may read them after it observes any later
-    /// synchronization from this rank.
-    void flush(int target);
-    void flush_all();
 
     // -- pscw ----------------------------------------------------------------
     /// Exposure epoch: allow `origins` to write this rank's region.

@@ -1,11 +1,15 @@
 // Correctness tests for every collective algorithm at multiple world sizes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "coll/collectives.hpp"
 #include "coll/util.hpp"
+#include "core/rng.hpp"
 
 namespace {
 
@@ -19,7 +23,7 @@ using rt::Comm;
 using rt::World;
 
 // ---------------------------------------------------------------------------
-// bcast / reduce / allreduce / gather / scatter
+// bcast / reduce / allreduce
 
 TEST(Bcast, AllRootsAllSizes) {
     for (int n : {1, 2, 3, 5, 8}) {
@@ -79,57 +83,83 @@ TEST(Allreduce, SumIdenticalEverywhere) {
     }
 }
 
-TEST(Gather, ContiguousBlocks) {
-    const int n = 5;
-    World w(n);
-    w.run([&](Comm& c) {
-        std::array<int, 3> mine{c.rank(), c.rank() * 10, c.rank() * 100};
-        std::vector<int> all(3 * static_cast<std::size_t>(n), -1);
-        coll::gather(c, mine.data(), mine.size() * 4, Datatype::byte(), all.data(), 12,
-                     Datatype::byte(), 2);
-        if (c.rank() == 2) {
-            for (int i = 0; i < n; ++i) {
-                EXPECT_EQ(all[static_cast<std::size_t>(3 * i)], i);
-                EXPECT_EQ(all[static_cast<std::size_t>(3 * i + 2)], i * 100);
+// The binomial reduce as a straight-line point-to-point loop, the shape
+// coll::reduce had before it ran its Schedule. Each rank folds children in
+// ascending-mask order, then sends its partial result to its parent.
+template <typename T>
+void reference_reduce(Comm& c, T* data, std::size_t n, ReduceOp op, int root) {
+    constexpr int kTag = 0x5ED;
+    const int size = c.size();
+    const int vrank = (c.rank() - root + size) % size;
+    std::vector<T> incoming(n);
+    for (int mask = 1; mask < size; mask <<= 1) {
+        if ((vrank & mask) != 0) {
+            const int dst = ((vrank & ~mask) + root) % size;
+            c.send(data, n * sizeof(T), Datatype::byte(), dst, kTag);
+            return;
+        }
+        const int vsrc = vrank | mask;
+        if (vsrc < size) {
+            const int src = (vsrc + root) % size;
+            c.recv(incoming.data(), n * sizeof(T), Datatype::byte(), src, kTag);
+            coll::detail::apply_op(op, data, incoming.data(), n);
+        }
+    }
+}
+
+// Doubles with all 52 mantissa bits random, exponents spread over 2^-8..2^7
+// and random signs, so any change to the association order of a Sum
+// changes the result's bits.
+double full_mantissa(Rng& rng) {
+    const std::uint64_t mantissa = rng.next_u64() >> 12;
+    const std::uint64_t exponent = rng.uniform_u64(1023 - 8, 1023 + 7);
+    const std::uint64_t sign = rng.next_u64() >> 63;
+    return std::bit_cast<double>((sign << 63) | (exponent << 52) | mantissa);
+}
+
+template <typename T>
+void expect_reduce_pinned(Comm& c, const std::vector<T>& mine, ReduceOp op, int root) {
+    const std::size_t bytes = mine.size() * sizeof(T);
+    std::vector<T> got = mine, want = mine;
+    coll::reduce(c, got.data(), got.size(), op, root);
+    reference_reduce(c, want.data(), want.size(), op, root);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+        << "reduce size=" << c.size() << " root=" << root << " rank=" << c.rank();
+    if (root != 0) return;
+    got = mine;
+    want = mine;
+    coll::allreduce(c, got.data(), got.size(), op);
+    reference_reduce(c, want.data(), want.size(), op, 0);
+    coll::bcast(c, want.data(), bytes, Datatype::byte(), 0);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+        << "allreduce size=" << c.size() << " rank=" << c.rank();
+}
+
+// Every rank's buffer (partial results on non-roots included) must match
+// the point-to-point tree bit for bit: the V-cycle pins and e2ebench's
+// agreement checks rest on these reductions.
+TEST(Reduce, BitIdenticalToPointToPointTree) {
+    for (int size = 1; size <= 7; ++size) {
+        World w(size);
+        w.run([&](Comm& c) {
+            Rng rng(0xC0FFEEu + 977u * static_cast<std::uint64_t>(size) +
+                    static_cast<std::uint64_t>(c.rank()));
+            for (int root = 0; root < size; ++root) {
+                for (ReduceOp op : {ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min}) {
+                    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+                        std::vector<double> d(n);
+                        for (double& v : d) v = full_mantissa(rng);
+                        expect_reduce_pinned(c, d, op, root);
+                        std::vector<int> i(n);
+                        for (int& v : i) {
+                            v = static_cast<int>(rng.uniform_u64(0, 2'000'000)) - 1'000'000;
+                        }
+                        expect_reduce_pinned(c, i, op, root);
+                    }
+                }
             }
-        }
-    });
-}
-
-TEST(Gatherv, VariableBlocks) {
-    const int n = 4;
-    World w(n);
-    w.run([&](Comm& c) {
-        // Rank r contributes r+1 doubles of value r.
-        std::vector<double> mine(static_cast<std::size_t>(c.rank()) + 1,
-                                 static_cast<double>(c.rank()));
-        std::vector<std::size_t> counts{1, 2, 3, 4};
-        std::vector<std::size_t> displs{0, 1, 3, 6};
-        std::vector<double> all(10, -1.0);
-        coll::gatherv(c, mine.data(), mine.size(), Datatype::float64(), all.data(), counts,
-                      displs, Datatype::float64(), 0);
-        if (c.rank() == 0) {
-            const std::vector<double> expect{0, 1, 1, 2, 2, 2, 3, 3, 3, 3};
-            EXPECT_EQ(all, expect);
-        }
-    });
-}
-
-TEST(Scatterv, VariableBlocks) {
-    const int n = 4;
-    World w(n);
-    w.run([&](Comm& c) {
-        std::vector<double> all;
-        std::vector<std::size_t> counts{1, 2, 3, 4};
-        std::vector<std::size_t> displs{0, 1, 3, 6};
-        if (c.rank() == 1) {
-            all = {0, 1, 1, 2, 2, 2, 3, 3, 3, 3};
-        }
-        std::vector<double> mine(static_cast<std::size_t>(c.rank()) + 1, -1.0);
-        coll::scatterv(c, all.data(), counts, displs, Datatype::float64(), mine.data(),
-                       mine.size(), Datatype::float64(), 1);
-        for (double v : mine) EXPECT_DOUBLE_EQ(v, static_cast<double>(c.rank()));
-    });
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------

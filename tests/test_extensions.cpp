@@ -1,12 +1,11 @@
 // Tests for the extended substrate surface: Comm::dup and probe/iprobe,
-// scan/exscan, W-cycles, VecScatter reverse/add modes, DMDA ghost
-// accumulation (adjoint property), and GMRES on nonsymmetric operators.
+// W-cycles, VecScatter reverse/add modes, and GMRES on nonsymmetric
+// operators.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
 
-#include "core/rng.hpp"
 #include "petsckit/advection.hpp"
 #include "petsckit/mg.hpp"
 #include "petsckit/scatter.hpp"
@@ -16,7 +15,6 @@ namespace {
 using namespace nncomm;
 using dt::Datatype;
 using pk::DMDA;
-using pk::GridBox;
 using pk::GridSize;
 using pk::Index;
 using pk::IndexSet;
@@ -153,59 +151,6 @@ TEST(Probe, WildcardProbe) {
 }
 
 // ---------------------------------------------------------------------------
-// scan / exscan
-
-TEST(Scan, InclusiveSumAllSizes) {
-    for (int n : {1, 2, 3, 5, 8, 13}) {
-        World w(n);
-        w.run([&](Comm& c) {
-            long v = c.rank() + 1;  // 1, 2, ..., n
-            coll::scan(c, &v, 1, coll::ReduceOp::Sum);
-            const long r = c.rank() + 1;
-            EXPECT_EQ(v, r * (r + 1) / 2) << "n=" << n << " rank=" << c.rank();
-        });
-    }
-}
-
-TEST(Scan, InclusiveMax) {
-    World w(6);
-    w.run([](Comm& c) {
-        // Values 3, 1, 4, 1, 5, 0: running max 3, 3, 4, 4, 5, 5.
-        const int vals[] = {3, 1, 4, 1, 5, 0};
-        const int expect[] = {3, 3, 4, 4, 5, 5};
-        int v = vals[c.rank()];
-        coll::scan(c, &v, 1, coll::ReduceOp::Max);
-        EXPECT_EQ(v, expect[c.rank()]);
-    });
-}
-
-TEST(Exscan, ExclusiveSumMatchesLayoutOffsets) {
-    // The PETSc use-case: each rank's exclusive prefix sum of local sizes
-    // is its ownership offset.
-    for (int n : {1, 2, 4, 7}) {
-        World w(n);
-        w.run([&](Comm& c) {
-            pk::Index local = 2 * c.rank() + 1;
-            pk::Index offset = local;
-            coll::exscan(c, &offset, 1, coll::ReduceOp::Sum);
-            // Sum of (2i + 1) for i < rank = rank^2.
-            EXPECT_EQ(offset, static_cast<pk::Index>(c.rank()) * c.rank());
-        });
-    }
-}
-
-TEST(Scan, MultiElement) {
-    World w(4);
-    w.run([](Comm& c) {
-        std::array<double, 3> v{1.0 * c.rank(), 1.0, 2.0};
-        coll::scan(c, v.data(), 3, coll::ReduceOp::Sum);
-        EXPECT_DOUBLE_EQ(v[0], c.rank() * (c.rank() + 1) / 2.0);
-        EXPECT_DOUBLE_EQ(v[1], c.rank() + 1.0);
-        EXPECT_DOUBLE_EQ(v[2], 2.0 * (c.rank() + 1));
-    });
-}
-
-// ---------------------------------------------------------------------------
 // W-cycles
 
 TEST(Wcycle, ConvergesAndContractsFasterPerCycle) {
@@ -302,80 +247,6 @@ TEST(ScatterAdd, DatatypeBackendsRejectAdd) {
         VecScatter sc(src, IndexSet::identity(4), dst, IndexSet::identity(4));
         EXPECT_THROW(sc.execute(src, dst, ScatterBackend::DatatypeOptimized, InsertMode::Add),
                      nncomm::Error);
-    });
-}
-
-// ---------------------------------------------------------------------------
-// DMDA ghost accumulation
-
-TEST(DmdaAdd, AdjointOfGlobalToLocal) {
-    // <G2L(x), y>_local == <x, L2G_add(y)>_global for all x, y — the
-    // defining property of the adjoint exchange. (Star stencil: only the
-    // filled ghost entries participate; unfilled corners of y must be
-    // zeroed for the identity to hold, which create_local guarantees if y
-    // only writes exchanged positions — we fill everything and rely on the
-    // box stencil instead.)
-    World w(4);
-    w.run([](Comm& c) {
-        DMDA da(c, 2, GridSize{10, 10, 1}, 2, 1, Stencil::Box);
-        Rng rng(31 + static_cast<std::uint64_t>(c.rank()));
-
-        Vec x = da.create_global();
-        for (double& v : x.local()) v = rng.uniform(-1.0, 1.0);
-        auto gx = da.create_local();
-        da.global_to_local(x, gx);
-
-        auto y = da.create_local();
-        // Fill only positions global_to_local actually fills (owned region
-        // + exchanged ghosts): write everywhere, then zero never-filled
-        // spots by running a marker exchange.
-        for (double& v : y) v = rng.uniform(-1.0, 1.0);
-        {
-            Vec ones = da.create_global();
-            ones.set_all(1.0);
-            auto mask = da.create_local();
-            da.global_to_local(ones, mask);
-            for (std::size_t i = 0; i < y.size(); ++i) y[i] *= mask[i];
-        }
-
-        double local_dot = 0.0;
-        for (std::size_t i = 0; i < y.size(); ++i) local_dot += gx[i] * y[i];
-        const double lhs = coll::allreduce_one(c, local_dot, coll::ReduceOp::Sum);
-
-        Vec ly = da.create_global();
-        da.local_to_global_add(y, ly);
-        const double rhs = x.dot(ly);
-        EXPECT_NEAR(lhs, rhs, 1e-10 * std::max(1.0, std::abs(lhs)));
-    });
-}
-
-TEST(DmdaAdd, GhostContributionsReachOwners) {
-    World w(4);
-    w.run([](Comm& c) {
-        DMDA da(c, 2, GridSize{8, 8, 1}, 1, 1, Stencil::Box);
-        // Every rank writes 1 everywhere in its ghosted array; after the
-        // accumulation, each owned point's value equals the number of
-        // ghosted arrays containing it (1 + #neighbors whose ghost region
-        // covers it).
-        auto local = da.create_local();
-        for (double& v : local) v = 1.0;
-        Vec g = da.create_global();
-        da.local_to_global_add(local, g);
-
-        const GridBox& o = da.owned();
-        std::size_t at = 0;
-        for (Index j = o.ys; j < o.ys + o.ym; ++j) {
-            for (Index i = o.xs; i < o.xs + o.xm; ++i, ++at) {
-                int owners = 1;
-                for (const auto& nb : da.neighbors()) {
-                    // Neighbor nb's ghosted box covers (i, j) iff the slab I
-                    // send to nb contains it.
-                    if (nb.send_box.contains(i, j, 0)) ++owners;
-                }
-                EXPECT_DOUBLE_EQ(g.data()[at], static_cast<double>(owners))
-                    << "point (" << i << "," << j << ")";
-            }
-        }
     });
 }
 

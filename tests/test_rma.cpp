@@ -128,47 +128,6 @@ TEST(Win, PutFenceMakesBytesVisibleEverywhere) {
     });
 }
 
-TEST(Win, GetReadsRemoteRegionAfterFence) {
-    constexpr int kRanks = 4;
-    World w(kRanks);
-    w.run([&](Comm& c) {
-        const int r = c.rank();
-        std::vector<std::uint64_t> region(2, 0);
-        region[0] = 7000u + static_cast<std::uint64_t>(r);
-        Win win = Win::create(c, region.data(), region.size() * sizeof(std::uint64_t));
-        win.fence();  // publish the local writes
-        const int peer = (r + 1) % kRanks;
-        std::uint64_t got = 0;
-        win.get(&got, sizeof(got), peer, 0);
-        EXPECT_EQ(got, 7000u + static_cast<std::uint64_t>(peer));
-        EXPECT_EQ(c.counters().rt_rma_gets, 1u);
-        EXPECT_EQ(c.counters().rt_rma_get_bytes, sizeof(std::uint64_t));
-        win.fence();
-    });
-}
-
-TEST(Win, FlushPublishesMidEpoch) {
-    World w(2);
-    w.run([&](Comm& c) {
-        std::vector<std::uint32_t> region(4, 0);
-        Win win = Win::create(c, region.data(), region.size() * sizeof(std::uint32_t));
-        constexpr int kTokenTag = 77;
-        if (c.rank() == 0) {
-            const std::uint32_t v = 0xabcd1234u;
-            win.put(&v, sizeof(v), 1, 0);
-            win.flush(1);  // release: bytes complete without closing the epoch
-            int token = 1;
-            c.send_n(&token, 1, 1, kTokenTag);
-            EXPECT_EQ(c.counters().rt_rma_flushes, 1u);
-        } else {
-            int token = 0;
-            c.recv_n(&token, 1, 0, kTokenTag);  // acquire via the message
-            EXPECT_EQ(region[0], 0xabcd1234u);
-        }
-        win.fence();
-    });
-}
-
 TEST(Win, PscwRingEpoch) {
     constexpr int kRanks = 4;
     World w(kRanks);
