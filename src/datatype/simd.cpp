@@ -323,9 +323,12 @@ __attribute__((target("avx512f,avx512dq"))) void gather8_avx512(std::byte* dst,
     const __m512i vindex = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
                                               _mm512_set1_epi64(stride));
     std::size_t i = 0;
+    // The all-lanes masked gather with a zero source: GCC 12's unmasked form
+    // reads an undefined source register (-Wmaybe-uninitialized).
     for (; i + 8 <= n; i += 8) {
-        const __m512i v =
-            _mm512_i64gather_epi64(vindex, src + static_cast<std::ptrdiff_t>(i) * stride, 1);
+        const __m512i v = _mm512_mask_i64gather_epi64(
+            _mm512_setzero_si512(), 0xFF, vindex, src + static_cast<std::ptrdiff_t>(i) * stride,
+            1);
         _mm512_storeu_si512(dst + i * 8, v);
     }
     for (; i < n; ++i) {
@@ -347,8 +350,9 @@ __attribute__((target("avx512f"))) void gather4_avx512(std::byte* dst, const std
         _mm512_set1_epi32(static_cast<int>(stride)));
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            _mm512_i32gather_epi32(vindex, src + static_cast<std::ptrdiff_t>(i) * stride, 1);
+        const __m512i v = _mm512_mask_i32gather_epi32(
+            _mm512_setzero_si512(), 0xFFFF, vindex,
+            src + static_cast<std::ptrdiff_t>(i) * stride, 1);
         _mm512_storeu_si512(dst + i * 4, v);
     }
     for (; i < n; ++i) {
