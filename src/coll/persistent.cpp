@@ -2,7 +2,9 @@
 
 #include <vector>
 
+#include "coll/util.hpp"
 #include "runtime/protocol.hpp"
+#include "runtime/win.hpp"
 
 namespace nncomm::coll {
 
@@ -190,8 +192,8 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             my_offsets[static_cast<std::size_t>(p.rank)] = win_bytes;
             win_bytes += p.bytes;
         }
-        win_buf_.resize(static_cast<std::size_t>(win_bytes));
-        win_ = rt::Win::create(comm, win_buf_.data(), win_buf_.size());
+        std::vector<std::byte> region(static_cast<std::size_t>(win_bytes));
+        rt::Win win = rt::Win::create(comm, region.data(), region.size());
 
         TagSpace xspace(comm, kPersistentTagBase);
         const int xtag = xspace.tag(kRmaOffsetExchange);
@@ -214,7 +216,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             *comm_, build_alltoallw_rma_schedule(rank, static_cast<int>(n), sendcounts,
                                                  sdispls, sendtypes, recvcounts, rdispls,
                                                  recvtypes, target_offsets, my_offsets));
-        request_.set_window(&win_);
+        request_.own_window(std::move(region), std::move(win));
         request_.set_pack_engine(engine_kind_);
         return;
     }
@@ -248,9 +250,13 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         cts.proto = rt::Protocol::Eager;
         s.ops.push_back(std::move(cts));  // zero-byte: a.space == None
     }
+    const bool self_staged =
+        has_self && detail::copy_needs_staging(sendtypes[self_i], recvtypes[self_i]);
     if (has_self) {
-        // Self exchange staged through a persistent slot (slot >= 0 routes
-        // the Copy through pack_into/unpack_from instead of copy_typed).
+        // Self exchange: copy_typed moves it with one copy when either
+        // layout is contiguous; otherwise it is staged through a persistent
+        // slot (slot >= 0 routes the Copy through pack_into/unpack_from), so
+        // the steady state never allocates a pack buffer.
         ScheduleOp cp;
         cp.kind = ScheduleOpKind::Copy;
         cp.a = {BufRef::Space::Send, sdispls[self_i]};
@@ -259,7 +265,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         cp.b = {BufRef::Space::Recv, rdispls[self_i]};
         cp.bcount = recvcounts[self_i];
         cp.btype = recvtypes[self_i];
-        cp.slot = static_cast<int>(sends.size());
+        if (self_staged) cp.slot = static_cast<int>(sends.size());
         cp.bytes = self_vol;
         s.ops.push_back(std::move(cp));
     }
@@ -312,19 +318,18 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     }
 
     s.rounds = any_rdv ? 2 : 1;
-    s.staging.reserve(sends.size() + (has_self ? 1u : 0u));
+    s.staging.reserve(sends.size() + (self_staged ? 1u : 0u));
     for (const SendPeer& p : sends) s.staging.push_back(static_cast<std::size_t>(p.bytes));
-    if (has_self) s.staging.push_back(static_cast<std::size_t>(self_vol));
+    if (self_staged) s.staging.push_back(static_cast<std::size_t>(self_vol));
 
     request_ = CollRequest(*comm_, std::move(s));
     request_.set_pack_engine(engine_kind_);
 }
 
-AlltoallwPlan::~AlltoallwPlan() = default;
-
-void AlltoallwPlan::begin(const void* sendbuf, void* recvbuf) {
-    NNCOMM_CHECK_MSG(!request_.active(),
-                     "AlltoallwPlan::begin while a previous execution is in flight");
+CollRequest AlltoallwPlan::begin(const void* sendbuf, void* recvbuf) {
+    NNCOMM_CHECK_MSG(!request_.in_flight(),
+                     "AlltoallwPlan::begin: the previous execution has not been waited "
+                     "(persistent plans are single-flight)");
     // Engine-config changes between executes invalidate the persistent
     // engines (their scratch sizing depends on the pipeline chunk); treat
     // it as a re-plan of the engines only.
@@ -332,24 +337,13 @@ void AlltoallwPlan::begin(const void* sendbuf, void* recvbuf) {
         engine_config_ = comm_->engine_config();
         request_.invalidate_engines();
     }
-    request_.reset();
     StatCounters extra;
     ++extra.persistent_executes;
     if (rma_) ++extra.coll_rma_plan_executes;
-    if (executes_ > 0) ++extra.coll_schedule_cache_hits;
+    if (request_.completions() > 0) ++extra.coll_schedule_cache_hits;
     request_.inject(extra);
     request_.start(sendbuf, recvbuf);
-}
-
-void AlltoallwPlan::end() {
-    request_.wait();
-    counters_ += request_.last_step();
-    ++executes_;
-}
-
-void AlltoallwPlan::execute(const void* sendbuf, void* recvbuf) {
-    begin(sendbuf, recvbuf);
-    end();
+    return request_.share();
 }
 
 }  // namespace nncomm::coll

@@ -29,19 +29,19 @@
 //
 // Because the executor is progress-driven, the plan is split-phase for
 // free: begin() fires the schedule (receives posted, self copy done, eager
-// sends gone), test() makes overlap progress, end() completes. execute()
-// is begin() + end().
+// sends gone) and returns a CollRequest handle to the plan's persistent
+// execution state; test() on the handle makes overlap progress, wait()
+// completes. execute() is begin().wait(). A plan is single-flight: every
+// begin() must be matched by a wait() on its handle before the next one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "coll/collectives.hpp"
 #include "coll/schedule.hpp"
 #include "datatype/engine.hpp"
-#include "runtime/win.hpp"
 
 namespace nncomm::coll {
 
@@ -63,30 +63,30 @@ public:
                   std::span<const dt::Datatype> recvtypes, const CollConfig& config = {},
                   dt::EngineKind engine = dt::EngineKind::DualContext);
 
-    ~AlltoallwPlan();
-
     AlltoallwPlan(const AlltoallwPlan&) = delete;
     AlltoallwPlan& operator=(const AlltoallwPlan&) = delete;
 
     /// Runs the planned exchange with this call's buffers. Collective:
     /// every rank of the communicator must execute its plan. Statistics
     /// for the work done are folded into the Comm's counters/timers.
-    void execute(const void* sendbuf, void* recvbuf);
+    void execute(const void* sendbuf, void* recvbuf) { begin(sendbuf, recvbuf).wait(); }
 
     /// Split-phase execute: fires the schedule (receives posted, self copy
-    /// done, eligible sends gone) and returns. Overlap compute, optionally
-    /// poking test(), then end(). Buffer contracts as execute().
-    void begin(const void* sendbuf, void* recvbuf);
-    /// One nonblocking progress pass; true once the exchange completed.
-    bool test() { return request_.test(); }
-    /// Completes the exchange begun by begin().
-    void end();
+    /// done, eligible sends gone) and returns a handle to the plan's
+    /// execution state. Overlap compute, optionally poking test() on the
+    /// handle, then wait() on it. The handle stays valid after the plan is
+    /// destroyed. Buffer contracts as execute(). Throws if the previous
+    /// begin()'s handle has not been waited.
+    CollRequest begin(const void* sendbuf, void* recvbuf);
 
-    /// Cumulative statistics over all executes of this plan (the same
-    /// numbers folded into the Comm, but isolated from other traffic).
-    const StatCounters& counters() const { return counters_; }
+    /// True from begin() until a wait() on its handle returned.
+    bool in_flight() const { return request_.in_flight(); }
 
-    std::size_t executes() const { return executes_; }
+    /// Cumulative statistics over all completed executes of this plan (the
+    /// same numbers folded into the Comm, but isolated from other traffic).
+    const StatCounters& counters() const { return request_.total(); }
+
+    std::size_t executes() const { return request_.completions(); }
     /// Peers this rank sends to / receives from (self excluded).
     std::size_t send_peers() const { return send_peers_; }
     std::size_t recv_peers() const { return recv_peers_; }
@@ -104,19 +104,14 @@ private:
     dt::EngineKind engine_kind_;
     dt::EngineConfig engine_config_;  ///< config the engines were built with
 
-    CollRequest request_;  ///< cached compiled schedule + persistent state
+    /// Owner handle of the cached compiled schedule and its persistent
+    /// state (staging, engines, and for the RMA lowering the window over
+    /// the exposed receive region, one block per source peer in rank
+    /// order, which peers pack straight into).
+    CollRequest request_;
     std::size_t send_peers_ = 0;
     std::size_t recv_peers_ = 0;
-
-    /// RMA lowering only: the exposed receive region (one block per source
-    /// peer, rank order) and its window. Peers pack straight into it; the
-    /// round-3 Unpacks scatter it into the user layout.
-    std::vector<std::byte> win_buf_;
-    rt::Win win_;
     bool rma_ = false;
-
-    StatCounters counters_;
-    std::size_t executes_ = 0;
 };
 
 }  // namespace nncomm::coll

@@ -336,8 +336,9 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
     s.ops.push_back(std::move(open));
     const int open_idx = 0;
 
-    // Round 1: the self block never touches the window (staged through the
-    // one persistent slot, like the two-sided plan), and the remote blocks
+    // Round 1: the self block never touches the window (a single typed copy,
+    // or staged through the one persistent slot when neither layout is
+    // contiguous, like the two-sided plan), and the remote blocks
     // keep the binned small-before-large ordering of the two-sided
     // schedule — each Put is a fused pack straight into the target region.
     const std::uint64_t self_vol =
@@ -352,9 +353,11 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
         cp.b = {BufRef::Space::Recv, rdispls[r]};
         cp.bcount = recvcounts[r];
         cp.btype = recvtypes[r];
-        cp.slot = 0;
         cp.bytes = self_vol;
-        s.staging.push_back(static_cast<std::size_t>(self_vol));
+        if (detail::copy_needs_staging(sendtypes[r], recvtypes[r])) {
+            cp.slot = 0;
+            s.staging.push_back(static_cast<std::size_t>(self_vol));
+        }
         s.ops.push_back(std::move(cp));
     }
 
@@ -523,9 +526,58 @@ Schedule build_reduce_schedule(int rank, int nranks, int root, std::size_t nbyte
 // ---------------------------------------------------------------------------
 // CollRequest
 
+/// The shared execution block behind every CollRequest handle.
+struct CollRequest::State {
+    enum : std::uint8_t { kPending = 0, kPosted = 1, kDone = 2 };
+
+    State(rt::Comm& c, Schedule s) : comm(&c), sched(std::move(s)) {}
+
+    bool deps_done(const ScheduleOp& op) const;
+    bool pass();  ///< one progress pass; true when complete
+    void post_recv(std::size_t i);
+    void post_send(std::size_t i);
+    void run_local(std::size_t i);
+    /// Packs op i's typed source into op.bytes at `dst` (Pack and Put ops).
+    void pack_into(std::size_t i, std::byte* dst);
+    void mark_done(std::size_t i);
+    void finalize();
+    std::byte* resolve(const BufRef& ref) const;
+
+    rt::Comm* comm;
+    Schedule sched;
+    TagSpace tags;
+    const void* sendbuf = nullptr;
+    void* recvbuf = nullptr;
+
+    std::vector<std::uint8_t> op_state;
+    std::vector<rt::Request> reqs;
+    std::vector<std::vector<std::byte>> staging;           ///< persistent
+    std::vector<std::unique_ptr<dt::PackEngine>> engines;  ///< persistent
+    std::vector<int> round_left;
+    std::size_t remaining = 0;
+    bool started = false;
+    bool done = false;
+    bool waited = false;  ///< some handle's wait() returned since start()
+    bool moved = false;   ///< last pass made progress
+
+    dt::EngineKind engine_kind = dt::EngineKind::DualContext;
+    bool engine_kind_set = false;
+    std::byte token{};  ///< zero-byte send/recv landing pad
+
+    /// One-sided plans only: this rank's exposed region and its window.
+    std::vector<std::byte> win_region;
+    rt::Win win;
+
+    StatCounters step;
+    StatCounters pending_setup;
+    PhaseTimers step_timers;
+    StatCounters total;  ///< every completed execution's step
+    std::size_t completions = 0;
+};
+
 CollRequest::CollRequest(rt::Comm& comm, Schedule schedule)
-    : comm_(&comm), sched_(std::move(schedule)) {
-    for (const ScheduleOp& op : sched_.ops) {
+    : st_(std::make_shared<State>(comm, std::move(schedule))) {
+    for (const ScheduleOp& op : st_->sched.ops) {
         NNCOMM_CHECK_MSG(op.tag_offset < rt::kEpochTagStride,
                          "schedule tag offset outside the epoch lane");
         for ([[maybe_unused]] int d : op.deps) {
@@ -533,17 +585,33 @@ CollRequest::CollRequest(rt::Comm& comm, Schedule schedule)
         }
     }
 
-    ++pending_setup_.coll_schedules_built;
+    ++st_->pending_setup.coll_schedules_built;
 }
 
-std::byte* CollRequest::resolve(const BufRef& ref) const {
+bool CollRequest::active() const { return st_ && st_->started && !st_->done; }
+bool CollRequest::done() const { return st_ && st_->done; }
+const Schedule& CollRequest::schedule() const { return st_->sched; }
+bool CollRequest::in_flight() const { return st_->started && !st_->waited; }
+void CollRequest::set_pack_engine(dt::EngineKind kind) {
+    st_->engine_kind = kind;
+    st_->engine_kind_set = true;
+}
+void CollRequest::invalidate_engines() { st_->engines.clear(); }
+void CollRequest::own_window(std::vector<std::byte> region, rt::Win win) {
+    st_->win_region = std::move(region);  // moving keeps the exposed address
+    st_->win = std::move(win);
+}
+void CollRequest::inject(const StatCounters& extra) { st_->pending_setup += extra; }
+const StatCounters& CollRequest::total() const { return st_->total; }
+std::size_t CollRequest::completions() const { return st_->completions; }
+
+std::byte* CollRequest::State::resolve(const BufRef& ref) const {
     switch (ref.space) {
         case BufRef::Space::Send:
-            return const_cast<std::byte*>(static_cast<const std::byte*>(sendbuf_)) +
-                   ref.offset;
+            return const_cast<std::byte*>(static_cast<const std::byte*>(sendbuf)) + ref.offset;
         case BufRef::Space::Recv:
-            return static_cast<std::byte*>(recvbuf_) + ref.offset;
-        case BufRef::Space::Win:  // resolved through win_->translate, not here
+            return static_cast<std::byte*>(recvbuf) + ref.offset;
+        case BufRef::Space::Win:  // resolved through win.translate, not here
         case BufRef::Space::None:
             break;
     }
@@ -553,41 +621,43 @@ std::byte* CollRequest::resolve(const BufRef& ref) const {
 void CollRequest::start(const void* sendbuf, void* recvbuf) {
     NNCOMM_CHECK_MSG(valid(), "start on an empty CollRequest");
     NNCOMM_CHECK_MSG(!active(), "start while a previous execution is in flight");
-    started_ = true;
-    done_ = false;
-    sendbuf_ = sendbuf;
-    recvbuf_ = recvbuf;
+    State& st = *st_;
+    st.started = true;
+    st.done = false;
+    st.waited = false;
+    st.sendbuf = sendbuf;
+    st.recvbuf = recvbuf;
 
-    step_ = pending_setup_;
-    pending_setup_ = StatCounters{};
-    step_timers_ = PhaseTimers{};
+    st.step = st.pending_setup;
+    st.pending_setup = StatCounters{};
+    st.step_timers = PhaseTimers{};
 
     // One fresh tag epoch per execution: sends are fire-and-forget
     // nonblocking, so a straggler from execution k can still be in flight
     // when execution k+1 posts its receives.
-    tags_ = TagSpace(*comm_, sched_.tag_base);
+    st.tags = TagSpace(*st.comm, st.sched.tag_base);
 
-    if (!engine_kind_set_) engine_kind_ = comm_->engine_kind();
+    if (!st.engine_kind_set) st.engine_kind = st.comm->engine_kind();
 
-    const std::size_t nops = sched_.ops.size();
-    state_.assign(nops, kPending);
-    reqs_.clear();
-    reqs_.resize(nops);
-    engines_.resize(nops);
-    if (staging_.size() < sched_.staging.size()) staging_.resize(sched_.staging.size());
-    for (std::size_t i = 0; i < sched_.staging.size(); ++i) {
-        if (staging_[i].size() < sched_.staging[i]) {
-            staging_[i].resize(sched_.staging[i]);
-            ++step_.scratch_allocs;
+    const std::size_t nops = st.sched.ops.size();
+    st.op_state.assign(nops, State::kPending);
+    st.reqs.clear();
+    st.reqs.resize(nops);
+    st.engines.resize(nops);
+    if (st.staging.size() < st.sched.staging.size()) st.staging.resize(st.sched.staging.size());
+    for (std::size_t i = 0; i < st.sched.staging.size(); ++i) {
+        if (st.staging[i].size() < st.sched.staging[i]) {
+            st.staging[i].resize(st.sched.staging[i]);
+            ++st.step.scratch_allocs;
         }
     }
-    round_left_.assign(static_cast<std::size_t>(sched_.rounds), 0);
-    for (const ScheduleOp& op : sched_.ops) {
-        ++round_left_[static_cast<std::size_t>(op.round)];
+    st.round_left.assign(static_cast<std::size_t>(st.sched.rounds), 0);
+    for (const ScheduleOp& op : st.sched.ops) {
+        ++st.round_left[static_cast<std::size_t>(op.round)];
     }
-    remaining_ = nops;
-    if (remaining_ == 0) {  // e.g. bcast/reduce on a single rank
-        finalize();
+    st.remaining = nops;
+    if (st.remaining == 0) {  // e.g. bcast/reduce on a single rank
+        st.finalize();
         return;
     }
 
@@ -596,77 +666,79 @@ void CollRequest::start(const void* sendbuf, void* recvbuf) {
     // eligible sends. Split-phase callers (VecScatter::begin, DMDA
     // global_to_local_begin) rely on the self-copy having run by the time
     // start() returns.
-    pass();
+    st.pass();
 }
 
-bool CollRequest::deps_done(const ScheduleOp& op) const {
+bool CollRequest::State::deps_done(const ScheduleOp& op) const {
     for (int d : op.deps) {
-        if (state_[static_cast<std::size_t>(d)] != kDone) return false;
+        if (op_state[static_cast<std::size_t>(d)] != kDone) return false;
     }
     return true;
 }
 
-void CollRequest::mark_done(std::size_t i) {
-    if (state_[i] == kDone) return;
-    state_[i] = kDone;
-    --remaining_;
-    auto& left = round_left_[static_cast<std::size_t>(sched_.ops[i].round)];
-    if (--left == 0) ++step_.coll_rounds_executed;
-    if (remaining_ == 0) finalize();
+void CollRequest::State::mark_done(std::size_t i) {
+    if (op_state[i] == kDone) return;
+    op_state[i] = kDone;
+    --remaining;
+    auto& left = round_left[static_cast<std::size_t>(sched.ops[i].round)];
+    if (--left == 0) ++step.coll_rounds_executed;
+    if (remaining == 0) finalize();
 }
 
-void CollRequest::finalize() {
-    done_ = true;
-    comm_->merge_stats(step_, step_timers_);
+void CollRequest::State::finalize() {
+    done = true;
+    comm->merge_stats(step, step_timers);
+    total += step;
+    ++completions;
 }
 
-void CollRequest::post_recv(std::size_t i) {
-    const ScheduleOp& op = sched_.ops[i];
-    const bool token = op.slot < 0 && op.a.space == BufRef::Space::None;
-    void* dst = op.slot >= 0 ? static_cast<void*>(staging_[static_cast<std::size_t>(op.slot)].data())
-                             : (token ? &token_ : resolve(op.a));
-    const dt::Datatype& type = (op.slot >= 0 || token) ? dt::Datatype::byte() : op.type;
-    reqs_[i] = comm_->irecv_i(dst, op.count, type, op.peer, tags_.tag(op.tag_offset));
-    state_[i] = kPosted;
+void CollRequest::State::post_recv(std::size_t i) {
+    const ScheduleOp& op = sched.ops[i];
+    const bool is_token = op.slot < 0 && op.a.space == BufRef::Space::None;
+    void* dst = op.slot >= 0 ? static_cast<void*>(staging[static_cast<std::size_t>(op.slot)].data())
+                             : (is_token ? &token : resolve(op.a));
+    const dt::Datatype& type = (op.slot >= 0 || is_token) ? dt::Datatype::byte() : op.type;
+    reqs[i] = comm->irecv_i(dst, op.count, type, op.peer, tags.tag(op.tag_offset));
+    op_state[i] = kPosted;
 }
 
-void CollRequest::post_send(std::size_t i) {
-    const ScheduleOp& op = sched_.ops[i];
-    const int tag = tags_.tag(op.tag_offset);
+void CollRequest::State::post_send(std::size_t i) {
+    const ScheduleOp& op = sched.ops[i];
+    const int tag = tags.tag(op.tag_offset);
     if (op.slot >= 0) {
         // Staged send: the Pack dependency filled the persistent staging
         // slot; the wire sees contiguous bytes, so the runtime's send path
         // is a single copy (or the zero-copy rendezvous move).
-        reqs_[i] = comm_->isend_i(staging_[static_cast<std::size_t>(op.slot)].data(),
-                                  static_cast<std::size_t>(op.bytes), dt::Datatype::byte(),
-                                  op.peer, tag, op.proto);
+        reqs[i] = comm->isend_i(staging[static_cast<std::size_t>(op.slot)].data(),
+                                static_cast<std::size_t>(op.bytes), dt::Datatype::byte(),
+                                op.peer, tag, op.proto);
     } else if (op.a.space == BufRef::Space::None) {
-        reqs_[i] = comm_->isend_i(&token_, 0, dt::Datatype::byte(), op.peer, tag, op.proto);
+        reqs[i] = comm->isend_i(&token, 0, dt::Datatype::byte(), op.peer, tag, op.proto);
     } else {
-        reqs_[i] = comm_->isend_i(resolve(op.a), op.count, op.type, op.peer, tag, op.proto);
+        reqs[i] = comm->isend_i(resolve(op.a), op.count, op.type, op.peer, tag, op.proto);
     }
-    state_[i] = kPosted;
+    op_state[i] = kPosted;
 }
 
-void CollRequest::pack_into(std::size_t i, std::byte* dst) {
-    const ScheduleOp& op = sched_.ops[i];
+void CollRequest::State::pack_into(std::size_t i, std::byte* dst) {
+    const ScheduleOp& op = sched.ops[i];
     const std::byte* src = resolve(op.a);
-    const auto total = static_cast<std::size_t>(op.bytes);
+    const auto nbytes = static_cast<std::size_t>(op.bytes);
     const dt::PackPlan& plan = op.type.plan();
     if (plan.specialized()) {
         // Contiguous / constant-stride layouts: the compiled kernel writes
         // the destination directly — no engine, no scratch.
-        PhaseScope scope(step_timers_, Phase::Pack);
-        plan.pack(op.type.flat(), src, op.count, std::span<std::byte>(dst, total), &step_);
-        ++step_.plan_hits;
-        step_.bytes_packed += op.bytes;
+        PhaseScope scope(step_timers, Phase::Pack);
+        plan.pack(op.type.flat(), src, op.count, std::span<std::byte>(dst, nbytes), &step);
+        ++step.plan_hits;
+        step.bytes_packed += op.bytes;
         return;
     }
     // Irregular layout: a persistent engine, constructed on the first
     // execution and reset (not rebuilt) afterwards.
-    auto& eng = engines_[i];
+    auto& eng = engines[i];
     if (!eng) {
-        eng = dt::make_engine(engine_kind_, src, op.type, op.count, comm_->engine_config());
+        eng = dt::make_engine(engine_kind, src, op.type, op.count, comm->engine_config());
     } else {
         eng->reset(src);
     }
@@ -674,7 +746,7 @@ void CollRequest::pack_into(std::size_t i, std::byte* dst) {
     dt::ChunkView chunk;
     while (eng->next_chunk(chunk)) {
         if (chunk.dense) {
-            PhaseScope scope(step_timers_, Phase::Pack);
+            PhaseScope scope(step_timers, Phase::Pack);
             for (const auto& [ptr, len] : chunk.iov) {
                 std::memcpy(dst + off, ptr, len);
                 off += len;
@@ -684,14 +756,14 @@ void CollRequest::pack_into(std::size_t i, std::byte* dst) {
             off += chunk.packed.size();
         }
     }
-    NNCOMM_CHECK(off == total);
-    step_ += eng->counters();
-    step_timers_ += eng->timers();
+    NNCOMM_CHECK(off == nbytes);
+    step += eng->counters();
+    step_timers += eng->timers();
     eng->reset_stats();
 }
 
-void CollRequest::run_local(std::size_t i) {
-    const ScheduleOp& op = sched_.ops[i];
+void CollRequest::State::run_local(std::size_t i) {
+    const ScheduleOp& op = sched.ops[i];
     switch (op.kind) {
         case ScheduleOpKind::Copy: {
             std::byte* dst = resolve(op.b);
@@ -700,53 +772,53 @@ void CollRequest::run_local(std::size_t i) {
                 // Self exchange staged through the persistent buffer
                 // (persistent plans): pack the send layout, unpack into the
                 // receive layout — no per-call scratch.
-                PhaseScope scope(step_timers_, Phase::Pack);
-                auto& buf = staging_[static_cast<std::size_t>(op.slot)];
-                dt::pack_into(src, op.type, op.count, std::span<std::byte>(buf), &step_);
+                PhaseScope scope(step_timers, Phase::Pack);
+                auto& buf = staging[static_cast<std::size_t>(op.slot)];
+                dt::pack_into(src, op.type, op.count, std::span<std::byte>(buf), &step);
                 dt::unpack_from(dst, op.btype, op.bcount, std::span<const std::byte>(buf),
-                                &step_);
+                                &step);
             } else {
                 detail::copy_typed(src, op.count, op.type, dst, op.bcount, op.btype);
             }
             break;
         }
         case ScheduleOpKind::Pack:
-            pack_into(i, staging_[static_cast<std::size_t>(op.slot)].data());
+            pack_into(i, staging[static_cast<std::size_t>(op.slot)].data());
             break;
         case ScheduleOpKind::Unpack: {
-            PhaseScope scope(step_timers_, Phase::Pack);
+            PhaseScope scope(step_timers, Phase::Pack);
             if (op.b.space == BufRef::Space::Win) {
                 // One-sided plans: the source bytes live in this rank's own
                 // window region, where the peer's fused pack+Put left them.
-                NNCOMM_CHECK(win_ != nullptr);
+                NNCOMM_CHECK(win.valid());
                 const auto* src = static_cast<const std::byte*>(
-                    win_->translate(comm_->rank(), static_cast<std::size_t>(op.b.offset),
-                                    static_cast<std::size_t>(op.bytes)));
+                    win.translate(comm->rank(), static_cast<std::size_t>(op.b.offset),
+                                  static_cast<std::size_t>(op.bytes)));
                 dt::unpack_from(resolve(op.a), op.type, op.count,
                                 std::span<const std::byte>(
                                     src, static_cast<std::size_t>(op.bytes)),
-                                &step_);
+                                &step);
                 break;
             }
-            auto& buf = staging_[static_cast<std::size_t>(op.slot)];
+            auto& buf = staging[static_cast<std::size_t>(op.slot)];
             dt::unpack_from(resolve(op.a), op.type, op.count,
-                            std::span<const std::byte>(buf), &step_);
+                            std::span<const std::byte>(buf), &step);
             break;
         }
         case ScheduleOpKind::Put: {
             // Fused pack+put: the pack writes straight into the target
             // rank's window region — no staging slot, no envelope, no CTS.
-            NNCOMM_CHECK(win_ != nullptr);
-            const auto total = static_cast<std::size_t>(op.bytes);
-            pack_into(i, static_cast<std::byte*>(win_->translate(
-                             op.peer, static_cast<std::size_t>(op.b.offset), total)));
-            win_->record_put(total);
+            NNCOMM_CHECK(win.valid());
+            const auto nbytes = static_cast<std::size_t>(op.bytes);
+            pack_into(i, static_cast<std::byte*>(win.translate(
+                             op.peer, static_cast<std::size_t>(op.b.offset), nbytes)));
+            win.record_put(nbytes);
             break;
         }
         case ScheduleOpKind::Reduce: {
             NNCOMM_CHECK(op.rfn != nullptr && op.slot >= 0);
-            op.rfn(op.rop, resolve(op.a),
-                   staging_[static_cast<std::size_t>(op.slot)].data(), op.count);
+            op.rfn(op.rop, resolve(op.a), staging[static_cast<std::size_t>(op.slot)].data(),
+                   op.count);
             break;
         }
         case ScheduleOpKind::Send:
@@ -756,19 +828,19 @@ void CollRequest::run_local(std::size_t i) {
     }
 }
 
-bool CollRequest::pass() {
-    if (done_) return true;
-    bool moved = false;
-    const std::size_t nops = sched_.ops.size();
+bool CollRequest::State::pass() {
+    if (done) return true;
+    bool progressed = false;
+    const std::size_t nops = sched.ops.size();
 
     // 1. Post every eligible receive first: the zero-copy rendezvous path
     //    and the persistent plans' clear-to-send handshake both rely on
     //    receives being posted before any send of the same pass fires.
     for (std::size_t i = 0; i < nops; ++i) {
-        if (state_[i] != kPending || sched_.ops[i].kind != ScheduleOpKind::Recv) continue;
-        if (!deps_done(sched_.ops[i])) continue;
+        if (op_state[i] != kPending || sched.ops[i].kind != ScheduleOpKind::Recv) continue;
+        if (!deps_done(sched.ops[i])) continue;
         post_recv(i);
-        moved = true;
+        progressed = true;
     }
 
     // 2. Ordered sweep: run eligible local ops and fire eligible sends in
@@ -777,8 +849,8 @@ bool CollRequest::pass() {
     //    sweep — preserving the binned small-before-large pack/send
     //    interleaving.
     for (std::size_t i = 0; i < nops; ++i) {
-        if (state_[i] != kPending) continue;
-        const ScheduleOp& op = sched_.ops[i];
+        if (op_state[i] != kPending) continue;
+        const ScheduleOp& op = sched.ops[i];
         if (op.kind == ScheduleOpKind::Recv) continue;
         if (!deps_done(op)) continue;
         if (op.kind == ScheduleOpKind::Send) {
@@ -786,60 +858,57 @@ bool CollRequest::pass() {
         } else if (op.kind == ScheduleOpKind::Fence) {
             // Announce arrival (nonblocking) and let step 3 poll the
             // epoch's completion alongside the posted point-to-point ops.
-            NNCOMM_CHECK(win_ != nullptr);
-            win_->fence_begin();
-            state_[i] = kPosted;
+            NNCOMM_CHECK(win.valid());
+            win.fence_begin();
+            op_state[i] = kPosted;
         } else {
             run_local(i);
             mark_done(i);
         }
-        moved = true;
+        progressed = true;
     }
-    if (done_) return true;
+    if (done) return true;
 
     // 3. Test posted operations (drives the delivery engine). A posted
     //    Fence completes through the window's epoch counters, not a
     //    Request.
     for (std::size_t i = 0; i < nops; ++i) {
-        if (state_[i] != kPosted) continue;
-        const bool fired = sched_.ops[i].kind == ScheduleOpKind::Fence
-                               ? win_->fence_test()
-                               : comm_->test(reqs_[i]);
+        if (op_state[i] != kPosted) continue;
+        const bool fired = sched.ops[i].kind == ScheduleOpKind::Fence ? win.fence_test()
+                                                                      : comm->test(reqs[i]);
         if (fired) {
             mark_done(i);
-            moved = true;
-            if (done_) return true;
+            progressed = true;
+            if (done) return true;
         }
     }
-    moved_ = moved;
-    return done_;
+    moved = progressed;
+    return done;
 }
 
 bool CollRequest::test() {
-    NNCOMM_CHECK_MSG(started_, "test on an unstarted CollRequest");
-    if (done_) return true;
-    ++step_.coll_overlap_progress_calls;
-    return pass();
+    NNCOMM_CHECK_MSG(valid() && st_->started, "test on an unstarted CollRequest");
+    if (st_->done) return true;
+    ++st_->step.coll_overlap_progress_calls;
+    return st_->pass();
 }
 
 void CollRequest::wait() {
-    NNCOMM_CHECK_MSG(started_, "wait on an unstarted CollRequest");
-    while (!pass()) {
-        if (moved_) continue;
-        NNCOMM_CHECK_MSG(std::find(state_.begin(), state_.end(), kPosted) != state_.end(),
-                         "schedule stuck: no runnable and no posted operations");
+    NNCOMM_CHECK_MSG(valid() && st_->started, "wait on an unstarted CollRequest");
+    State& st = *st_;
+    while (!st.pass()) {
+        if (st.moved) continue;
+        NNCOMM_CHECK_MSG(
+            std::find(st.op_state.begin(), st.op_state.end(), State::kPosted) !=
+                st.op_state.end(),
+            "schedule stuck: no runnable and no posted operations");
         // Nothing runnable moved: park until any posted operation fires.
         // Blocking on one particular op can deadlock: while this rank waits
         // for a peer's payload, a clear-to-send arriving on another op would
         // release the send that same peer is itself parked waiting for.
-        comm_->wait_until([this] { return pass() || moved_; });
+        st.comm->wait_until([&st] { return st.pass() || st.moved; });
     }
-}
-
-void CollRequest::reset() {
-    NNCOMM_CHECK_MSG(!active(), "reset of an in-flight CollRequest");
-    started_ = false;
-    done_ = false;
+    st.waited = true;
 }
 
 // ---------------------------------------------------------------------------

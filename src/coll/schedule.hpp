@@ -209,7 +209,10 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
 // ---------------------------------------------------------------------------
 // CollRequest — the schedule executor
 
-/// Progress-driven executor for one Schedule. One execution:
+class AlltoallwPlan;
+
+/// Handle to the progress-driven execution state of one Schedule. One
+/// execution:
 ///
 ///   start(sendbuf, recvbuf)  — binds buffers, draws a fresh tag epoch,
 ///                              runs one progress pass (posting round-zero
@@ -221,14 +224,20 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
 ///                              Comm::wait_until until any posted op can
 ///                              fire when a pass makes no progress.
 ///
-/// Persistent plans reuse one CollRequest across executes via reset():
-/// staging buffers and pack engines survive, so the steady state performs
-/// no allocations (bench_persistent_scatter's rt_payload_allocs == 0 and
-/// scratch_allocs invariants hold on this path).
+/// The state — compiled schedule, staging buffers, pack engines and (for
+/// one-sided plans) the window with its exposed region — lives in one
+/// shared block. A one-shot icoll's handle is its only owner. A persistent
+/// AlltoallwPlan keeps the block and hands out a handle to it from every
+/// begin(), so staging and engines survive across executes and the steady
+/// state performs no allocations (bench_persistent_scatter's
+/// rt_payload_allocs == 0 and scratch_allocs invariants hold on this path).
+/// A handle keeps the block alive: it stays safe to wait on after the plan,
+/// or the object that owned the plan, is gone.
 ///
 /// Statistics (pack counters, the coll_* schedule counters, phase timers)
-/// accumulate per execution and fold into the Comm when the last op
-/// retires.
+/// accumulate per execution and fold into the Comm — and into the block's
+/// cumulative totals that AlltoallwPlan::counters() reports — when the last
+/// op retires, whichever handle drove it there.
 class CollRequest {
 public:
     CollRequest() = default;
@@ -240,10 +249,10 @@ public:
     CollRequest& operator=(const CollRequest&) = delete;
 
     /// True once bound to a communicator and schedule.
-    bool valid() const { return comm_ != nullptr; }
+    bool valid() const { return st_ != nullptr; }
     /// True between start() and completion.
-    bool active() const { return started_ && !done_; }
-    bool done() const { return done_; }
+    bool active() const;
+    bool done() const;
 
     /// Begins one execution. sendbuf may be null when no op reads the Send
     /// space (e.g. bcast/reduce operate in place through the Recv space).
@@ -258,70 +267,35 @@ public:
     /// Blocks until every op has retired. Returns immediately if done.
     void wait();
 
-    /// Prepares for the next execution (persistent plans). Must not be
-    /// called while active. Staging buffers and pack engines are kept.
-    void reset();
-    /// Drops the persistent pack engines (engine-config change).
-    void invalidate_engines() { engines_.clear(); }
-    /// Selects the pack-engine kind for Pack ops (default: the Comm's
-    /// engine at start()).
-    void set_pack_engine(dt::EngineKind kind) {
-        engine_kind_ = kind;
-        engine_kind_set_ = true;
-    }
-
-    /// Binds the rt::Win that Put/Fence/window-Unpack ops operate on.
-    /// Required before start() when the schedule contains one-sided ops;
-    /// the window must outlive the request. Not owned.
-    void set_window(rt::Win* win) { win_ = win; }
-
-    /// Folds extra statistics into the next execution's step (persistent
-    /// plans inject persistent_executes / cache hits / setup costs).
-    void inject(const StatCounters& extra) { pending_setup_ += extra; }
-    /// Statistics of the last completed execution (what was folded into
-    /// the Comm).
-    const StatCounters& last_step() const { return step_; }
-
-    const Schedule& schedule() const { return sched_; }
+    const Schedule& schedule() const;
 
 private:
-    enum : std::uint8_t { kPending = 0, kPosted = 1, kDone = 2 };
+    friend class AlltoallwPlan;
+    struct State;
 
-    bool deps_done(const ScheduleOp& op) const;
-    bool pass();          ///< one progress pass; true when complete
-    void post_recv(std::size_t i);
-    void post_send(std::size_t i);
-    void run_local(std::size_t i);
-    /// Packs op i's typed source into op.bytes at `dst` (Pack and Put ops).
-    void pack_into(std::size_t i, std::byte* dst);
-    void mark_done(std::size_t i);
-    void finalize();
-    std::byte* resolve(const BufRef& ref) const;
+    explicit CollRequest(std::shared_ptr<State> st) : st_(std::move(st)) {}
+    /// Persistent-plan hooks. share() is a second handle to the same
+    /// block; the block is single-flight, so it is "in flight" from start()
+    /// until some handle's wait() returned.
+    CollRequest share() const { return CollRequest(st_); }
+    bool in_flight() const;
+    /// Selects the pack-engine kind for Pack ops (default: the Comm's
+    /// engine at start()).
+    void set_pack_engine(dt::EngineKind kind);
+    /// Drops the persistent pack engines (engine-config change).
+    void invalidate_engines();
+    /// Takes ownership of the rt::Win (and the region it exposes) that
+    /// Put/Fence/window-Unpack ops operate on. Required before start()
+    /// when the schedule contains one-sided ops.
+    void own_window(std::vector<std::byte> region, rt::Win win);
+    /// Folds extra statistics into the next execution's step (persistent
+    /// plans inject persistent_executes / cache hits).
+    void inject(const StatCounters& extra);
+    /// Cumulative statistics and count of completed executions.
+    const StatCounters& total() const;
+    std::size_t completions() const;
 
-    rt::Comm* comm_ = nullptr;
-    rt::Win* win_ = nullptr;  ///< one-sided ops only; not owned
-    Schedule sched_;
-    TagSpace tags_;
-    const void* sendbuf_ = nullptr;
-    void* recvbuf_ = nullptr;
-
-    std::vector<std::uint8_t> state_;
-    std::vector<rt::Request> reqs_;
-    std::vector<std::vector<std::byte>> staging_;              ///< persistent
-    std::vector<std::unique_ptr<dt::PackEngine>> engines_;     ///< persistent
-    std::vector<int> round_left_;
-    std::size_t remaining_ = 0;
-    bool started_ = false;
-    bool done_ = false;
-    bool moved_ = false;  ///< last pass made progress
-
-    dt::EngineKind engine_kind_ = dt::EngineKind::DualContext;
-    bool engine_kind_set_ = false;
-    std::byte token_{};  ///< zero-byte send/recv landing pad
-
-    StatCounters step_;
-    StatCounters pending_setup_;
-    PhaseTimers step_timers_;
+    std::shared_ptr<State> st_;
 };
 
 // ---------------------------------------------------------------------------

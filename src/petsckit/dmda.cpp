@@ -322,8 +322,27 @@ coll::CollRequest DMDA::global_to_local_begin(const Vec& global, std::span<doubl
                      "global_to_local: global vector does not match this DMDA");
     NNCOMM_CHECK_MSG(static_cast<Index>(local.size()) == ghosted_.volume() * dof_,
                      "global_to_local: local array has the wrong size");
-    return coll::ialltoallw(*comm_, global.data(), g2l_scounts_, g2l_sdispls_, g2l_stypes_,
-                            local.data(), g2l_rcounts_, g2l_rdispls_, g2l_rtypes_, config);
+    if (config.alltoallw_algo == coll::AlltoallwAlgo::RoundRobin) {
+        return coll::ialltoallw(*comm_, global.data(), g2l_scounts_, g2l_sdispls_,
+                                g2l_stypes_, local.data(), g2l_rcounts_, g2l_rdispls_,
+                                g2l_rtypes_, config);
+    }
+    if (!g2l_plan_) {
+        // Two-sided whatever config.persistent_protocol says (Eager selects
+        // the send/recv graph; large slabs still go rendezvous): an RMA
+        // plan's closing fence spans the communicator, so no rank could
+        // finish its exchange before the slowest rank reached its end().
+        // No other CollConfig field shapes a binned plan.
+        coll::CollConfig two_sided;
+        two_sided.persistent_protocol = rt::Protocol::Eager;
+        g2l_plan_ = std::make_unique<coll::AlltoallwPlan>(
+            *comm_, g2l_scounts_, g2l_sdispls_, g2l_stypes_, g2l_rcounts_, g2l_rdispls_,
+            g2l_rtypes_, two_sided, comm_->engine_kind());
+    }
+    NNCOMM_CHECK_MSG(!g2l_plan_->in_flight(),
+                     "global_to_local_begin: this DMDA's previous ghost exchange is still in "
+                     "flight; complete it with global_to_local_end first");
+    return g2l_plan_->begin(global.data(), local.data());
 }
 
 void DMDA::local_to_global(std::span<const double> local, Vec& global) const {

@@ -15,6 +15,24 @@
 // subarray datatypes (noncontiguous, strided slabs) moved with Alltoallw,
 // where face slabs are much larger than edge/corner slabs (nonuniform
 // volumes) and non-neighbors exchange nothing (zero volumes).
+//
+// The exchange is the same on every stencil apply, so each DMDA compiles
+// it once: the first Binned/Auto global_to_local builds a persistent
+// coll::AlltoallwPlan from the prebuilt per-neighbor subarray arrays (the
+// in-process analogue of MPI-4's MPI_Neighbor_alltoallw_init), and every
+// later call runs that plan — no schedule compile, no pack-engine
+// construction, no staging allocation. The plan is always two-sided: the
+// RMA lowering closes each execution with a fence over the whole
+// communicator, which ties every rank's completion to the slowest rank's
+// and so cancels the split-phase overlap (EXPERIMENTS.md has the
+// measurements). RoundRobin calls stay one-shot ialltoallw: they are the
+// paper's non-persistent MPICH2 baseline, the same rule
+// VecScatter::begin_datatype follows.
+//
+// The plan is single-flight: a global_to_local_begin while this DMDA's
+// previous exchange has not been completed with global_to_local_end
+// throws. The returned request shares ownership of the plan's execution
+// state, so it stays safe to complete after the DMDA is destroyed.
 #pragma once
 
 #include <array>
@@ -24,6 +42,7 @@
 #include <vector>
 
 #include "coll/collectives.hpp"
+#include "coll/persistent.hpp"
 #include "coll/schedule.hpp"
 #include "petsckit/vec.hpp"
 
@@ -96,7 +115,9 @@ public:
     /// so interior stencil points can be computed before _end. Drive the
     /// returned request with test() for overlap progress; complete it with
     /// global_to_local_end. begin + end is bit-identical to
-    /// global_to_local.
+    /// global_to_local. Binned/Auto configs run the DMDA's persistent plan
+    /// and throw while a previous exchange on this DMDA is still in flight;
+    /// RoundRobin runs one-shot.
     coll::CollRequest global_to_local_begin(const Vec& global, std::span<double> local,
                                             const coll::CollConfig& config = {}) const;
     /// Completes a split-phase ghost exchange begun by global_to_local_begin.
@@ -182,10 +203,15 @@ private:
     std::shared_ptr<const Layout> layout_;
 
     std::vector<Neighbor> neighbors_;
-    // Prebuilt Alltoallw arrays for the ghost exchange.
+    // Prebuilt Alltoallw arrays for the ghost exchange: the inputs of both
+    // the persistent plan and the one-shot RoundRobin path.
     std::vector<std::size_t> g2l_scounts_, g2l_rcounts_;
     std::vector<std::ptrdiff_t> g2l_sdispls_, g2l_rdispls_;
     std::vector<dt::Datatype> g2l_stypes_, g2l_rtypes_;
+    // The persistent ghost plan, built lazily by the first Binned/Auto
+    // exchange. Each rank thread owns its DMDA (like its Comm), so
+    // mutable-without-locks is safe.
+    mutable std::unique_ptr<coll::AlltoallwPlan> g2l_plan_;
 };
 
 }  // namespace nncomm::pk

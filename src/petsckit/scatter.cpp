@@ -298,17 +298,15 @@ ScatterRequest VecScatter::begin_datatype(const void* sendbuf, void* recvbuf,
     // allocation-free. The baseline backend stays one-shot — it reproduces
     // the paper's measured baseline, where this rebuild cost is part of the
     // story.
+    req.path_ = ScatterRequest::Path::Datatype;
     if (persistent_ && algo == coll::AlltoallwAlgo::Binned) {
         auto& plan = forward ? fwd_plan_ : rev_plan_;
         if (!plan) {
             plan = std::make_unique<coll::AlltoallwPlan>(*comm_, scounts, sdispls, stypes,
                                                          rcounts, rdispls, rtypes, cfg, engine);
         }
-        req.path_ = ScatterRequest::Path::Plan;
-        req.plan_ = plan.get();
-        plan->begin(sendbuf, recvbuf);
+        req.coll_ = plan->begin(sendbuf, recvbuf);
     } else {
-        req.path_ = ScatterRequest::Path::OneShot;
         req.coll_ = coll::ialltoallw(*comm_, sendbuf, scounts, sdispls, stypes, recvbuf,
                                      rcounts, rdispls, rtypes, cfg);
     }
@@ -325,8 +323,7 @@ bool ScatterRequest::test() {
             }
             return all;
         }
-        case Path::OneShot: return coll_.test();
-        case Path::Plan: return plan_->test();
+        case Path::Datatype: return coll_.test();
         case Path::None: break;
     }
     return true;
@@ -352,8 +349,7 @@ void ScatterRequest::end() {
             recv_reqs_.clear();
             break;
         }
-        case Path::OneShot: coll_.wait(); break;
-        case Path::Plan: plan_->end(); break;
+        case Path::Datatype: coll_.wait(); break;
         case Path::None: break;
     }
     if (restore_engine_) comm_->set_engine(saved_engine_);

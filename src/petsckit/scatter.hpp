@@ -228,7 +228,7 @@ public:
 
 private:
     friend class VecScatter;
-    enum class Path : std::uint8_t { None, HandTuned, OneShot, Plan };
+    enum class Path : std::uint8_t { None, HandTuned, Datatype };
 
     Path path_ = Path::None;
     rt::Comm* comm_ = nullptr;
@@ -240,9 +240,9 @@ private:
     InsertMode insert_ = InsertMode::Insert;
     std::vector<rt::Request> recv_reqs_;
 
-    // Datatype backends: a one-shot schedule request or the persistent plan.
+    // Datatype backends: a one-shot schedule or a handle to the persistent
+    // plan's execution state.
     coll::CollRequest coll_;
-    coll::AlltoallwPlan* plan_ = nullptr;
     dt::EngineKind saved_engine_ = dt::EngineKind::DualContext;
     bool restore_engine_ = false;
 };

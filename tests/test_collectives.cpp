@@ -422,6 +422,26 @@ TEST(CopyTyped, OverlappingContiguousCopyUsesMemmove) {
     for (int i = 0; i < 16; ++i) EXPECT_EQ(buf[static_cast<std::size_t>(i + 4)], i);
 }
 
+TEST(CopyTyped, OneContiguousSideCopiesOnceUnlessLayoutsOverlap) {
+    // One side contiguous: the other side's plan kernel reads or writes it
+    // directly. Every other int of a 4-block vector pairs with 4 dense ints.
+    const Datatype strided = Datatype::vector(4, 1, 2, Datatype::int32());
+    std::vector<int> dense{1, 2, 3, 4}, sparse(8, -1);
+    coll::detail::copy_typed(dense.data(), 4, Datatype::int32(), sparse.data(), 1, strided);
+    EXPECT_EQ(sparse, (std::vector<int>{1, -1, 2, -1, 3, -1, 4, -1}));
+    std::vector<int> back(4, 0);
+    coll::detail::copy_typed(sparse.data(), 1, strided, back.data(), 4, Datatype::int32());
+    EXPECT_EQ(back, dense);
+
+    // Overlapping layouts: ints 0..3 into every other slot from index 1.
+    // A direct unpack would read slots it has already overwritten; the
+    // staged copy moves the original values.
+    std::vector<int> buf(8);
+    std::iota(buf.begin(), buf.end(), 0);
+    coll::detail::copy_typed(buf.data(), 4, Datatype::int32(), buf.data() + 1, 1, strided);
+    EXPECT_EQ(buf, (std::vector<int>{0, 0, 2, 1, 4, 2, 6, 3}));
+}
+
 TEST(CopyTyped, AlltoallwInPlaceSelfExchange) {
     // Both algorithms route the self block through copy_typed. With
     // sendbuf == recvbuf, zero volume for every other peer, and identical

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "petsckit/dmda.hpp"
@@ -217,25 +219,112 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DmdaGhost,
                          ::testing::Range(0, static_cast<int>(std::size(kGhostCases))));
 
 TEST(Dmda, GhostExchangeWorksWithAllCollectiveAlgos) {
+    // RoundRobin runs the one-shot ialltoallw, Binned the DMDA's persistent
+    // plan (twice, so the replay is covered too): every run must produce
+    // the same ghosted array byte for byte, unfilled slots included.
     World w(4);
     w.run([](Comm& c) {
         DMDA da(c, 2, GridSize{10, 10, 1}, 1, 1, Stencil::Box);
         Vec v = da.create_global();
         fill_dmda_vec(da, v);
-        for (auto algo : {coll::AlltoallwAlgo::RoundRobin, coll::AlltoallwAlgo::Binned}) {
+        auto exchange = [&](coll::AlltoallwAlgo algo) {
             auto local = da.create_local();
+            std::fill(local.begin(), local.end(), -777.25);
             coll::CollConfig cfg;
             cfg.alltoallw_algo = algo;
             da.global_to_local(v, local, cfg);
-            const GridBox& o = da.owned();
-            // Spot-check the whole owned region plus one ghost row.
-            for (Index j = o.ys; j < o.ys + o.ym; ++j) {
-                for (Index i = o.xs; i < o.xs + o.xm; ++i) {
-                    EXPECT_DOUBLE_EQ(local[static_cast<std::size_t>(da.local_index(i, j, 0))],
-                                     coord_value(i, j, 0, 0));
-                }
+            return local;
+        };
+        const auto one_shot = exchange(coll::AlltoallwAlgo::RoundRobin);
+        const GridBox& o = da.owned();
+        for (Index j = o.ys; j < o.ys + o.ym; ++j) {
+            for (Index i = o.xs; i < o.xs + o.xm; ++i) {
+                EXPECT_DOUBLE_EQ(one_shot[static_cast<std::size_t>(da.local_index(i, j, 0))],
+                                 coord_value(i, j, 0, 0));
             }
         }
+        for (int run = 0; run < 2; ++run) {
+            const auto planned = exchange(coll::AlltoallwAlgo::Binned);
+            ASSERT_EQ(planned.size(), one_shot.size());
+            EXPECT_EQ(std::memcmp(planned.data(), one_shot.data(),
+                                  one_shot.size() * sizeof(double)),
+                      0)
+                << "run " << run;
+        }
+    });
+}
+
+TEST(Dmda, GhostPlanSteadyStateBuildsNothing) {
+    // After the first exchange compiles the DMDA's plan, every further
+    // exchange replays it: no schedule, no pack engine, and — the plan is
+    // two-sided whatever the env gates say — no RMA execute or fence.
+    World w(8);
+    w.run([](Comm& c) {
+        DMDA da(c, 3, GridSize{9, 8, 7}, 2, 1, Stencil::Box);
+        Vec v = da.create_global();
+        fill_dmda_vec(da, v);
+        auto local = da.create_local();
+        const StatCounters before_first = c.counters();
+        da.global_to_local(v, local);
+        const StatCounters first = c.counters();
+        EXPECT_EQ(first.coll_schedules_built - before_first.coll_schedules_built, 1u);
+        const auto ref = local;
+        for (int rep = 0; rep < 3; ++rep) {
+            const StatCounters before = c.counters();
+            std::fill(local.begin(), local.end(), 0.0);
+            da.global_to_local(v, local);
+            const StatCounters after = c.counters();
+            EXPECT_EQ(after.coll_schedules_built - before.coll_schedules_built, 0u);
+            EXPECT_EQ(after.engine_builds - before.engine_builds, 0u);
+            EXPECT_EQ(after.coll_rma_plan_executes - before.coll_rma_plan_executes, 0u);
+            EXPECT_EQ(after.rt_rma_fences - before.rt_rma_fences, 0u);
+            EXPECT_GE(after.coll_schedule_cache_hits - before.coll_schedule_cache_hits, 1u);
+            EXPECT_EQ(std::memcmp(local.data(), ref.data(), ref.size() * sizeof(double)), 0);
+        }
+    });
+}
+
+TEST(Dmda, GhostPlanIsSingleFlight) {
+    World w(4);
+    w.run([](Comm& c) {
+        DMDA da(c, 2, GridSize{10, 10, 1}, 1, 1, Stencil::Box);
+        Vec v = da.create_global();
+        fill_dmda_vec(da, v);
+        auto ref = da.create_local();
+        da.global_to_local(v, ref);
+
+        auto first = da.create_local();
+        auto second = da.create_local();
+        coll::CollRequest req = da.global_to_local_begin(v, first);
+        // Rejected before any traffic moves, whether or not the first
+        // exchange's messages have already landed.
+        EXPECT_THROW(da.global_to_local_begin(v, second), nncomm::Error);
+        DMDA::global_to_local_end(req);
+        EXPECT_EQ(std::memcmp(first.data(), ref.data(), ref.size() * sizeof(double)), 0);
+
+        req = da.global_to_local_begin(v, second);
+        DMDA::global_to_local_end(req);
+        EXPECT_EQ(std::memcmp(second.data(), ref.data(), ref.size() * sizeof(double)), 0);
+    });
+}
+
+TEST(Dmda, GhostRequestOutlivesItsDmda) {
+    // The request shares ownership of the plan's execution state, so it
+    // can be completed after the DMDA that issued it is gone.
+    World w(4);
+    w.run([](Comm& c) {
+        auto da = std::make_unique<DMDA>(c, 2, GridSize{10, 10, 1}, 1, 1, Stencil::Box);
+        Vec v = da->create_global();
+        fill_dmda_vec(*da, v);
+        auto ref = da->create_local();
+        da->global_to_local(v, ref);
+
+        auto local = da->create_local();
+        coll::CollRequest req = da->global_to_local_begin(v, local);
+        da.reset();
+        DMDA::global_to_local_end(req);
+        EXPECT_TRUE(req.done());
+        EXPECT_EQ(std::memcmp(local.data(), ref.data(), ref.size() * sizeof(double)), 0);
     });
 }
 

@@ -253,9 +253,9 @@ TEST(Icoll, ScheduleCountersAccumulate) {
         const StatCounters plan_before = c.counters();
         constexpr int kExecutes = 4;
         for (int e = 0; e < kExecutes; ++e) {
-            plan.begin(sendbuf.data(), recvbuf.data());
-            plan.test();  // one overlap poke through the plan facade
-            plan.end();
+            coll::CollRequest h = plan.begin(sendbuf.data(), recvbuf.data());
+            h.test();  // one overlap poke through the plan's handle
+            h.wait();
         }
         const StatCounters plan_after = c.counters();
         EXPECT_EQ(plan.executes(), static_cast<std::uint64_t>(kExecutes));
