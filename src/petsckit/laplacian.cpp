@@ -1,6 +1,7 @@
 #include "petsckit/laplacian.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace nncomm::pk {
 
@@ -34,18 +35,21 @@ LaplacianOp::LaplacianOp(std::shared_ptr<const DMDA> dmda, coll::CollConfig conf
     zero_row_.assign(static_cast<std::size_t>(dmda_->owned().xm), 0.0);
 }
 
-void LaplacianOp::apply(const Vec& x, Vec& y) const {
+template <class Epilogue>
+void LaplacianOp::stencil_pass(const Vec& x, Vec& y, const char* who, Epilogue epilogue) const {
     const DMDA& da = *dmda_;
     const GridBox& o = da.owned();
     const GridBox& gb = da.ghosted();
     const GridSize g = da.grid();
     const int dim = da.dim();
     NNCOMM_CHECK_MSG(y.local_size() == o.volume() * da.dof(),
-                     "LaplacianOp::apply: output vector does not match the DMDA");
+                     std::string(who) + ": output vector does not match the DMDA");
+    // y is written while the exchange still reads x's send slabs.
+    NNCOMM_CHECK_MSG(&y != &x, std::string(who) + ": output vector must not be x");
     // Every read below lies in the owned box grown by one point along each
     // active axis; this one check covers all of them.
     NNCOMM_CHECK_MSG(gb.covers(grow_one(o, g, dim)),
-                     "LaplacianOp::apply: ghosted box does not cover the stencil");
+                     std::string(who) + ": ghosted box does not cover the stencil");
 
     const double two_d = 2.0 * dim;
     const double inv_h2 = inv_h2_;
@@ -57,9 +61,10 @@ void LaplacianOp::apply(const Vec& x, Vec& y) const {
 
     // Row kernel: points [i0, i1) of the owned x-row (j, k). Every point is
     // computed exactly once, by this kernel, whether it runs before or after
-    // the ghost exchange completes, so the overlapped apply is bit-identical
-    // to the blocking one. The operation order per point is fixed:
-    // 2d*c - (i-1) - (i+1) - (j-1) - (j+1) - (k-1) - (k+1), then * 1/h².
+    // the ghost exchange completes, so the overlapped pass is bit-identical
+    // to a blocking one. The operation order per point is fixed:
+    // 2d*c - (i-1) - (i+1) - (j-1) - (j+1) - (k-1) - (k+1), then * 1/h²,
+    // then the epilogue, which also receives the point's own value c.
     // Couplings to boundary points are dropped (their values are eliminated
     // zeros). A dropped y/z coupling, or one along an inactive axis, reads
     // the zero row instead: acc - (+0.0) == acc for every acc, so that is
@@ -67,10 +72,12 @@ void LaplacianOp::apply(const Vec& x, Vec& y) const {
     auto row = [&](Index j, Index k, Index i0, Index i1) {
         if (i1 <= i0) return;
         const Index n = i1 - i0;
-        double* dst = out + (((k - o.zs) * o.ym + (j - o.ys)) * o.xm + (i0 - o.xs));
+        const Index p0 = ((k - o.zs) * o.ym + (j - o.ys)) * o.xm + (i0 - o.xs);
+        double* dst = out + p0;
         const double* c = loc + (((k - gb.zs) * gb.ym + (j - gb.ys)) * gb.xm + (i0 - gb.xs));
         if (da.row_on_boundary(j, k)) {
-            std::copy(c, c + n, dst);  // identity rows (Dirichlet unknowns)
+            // Identity rows (Dirichlet unknowns): (A x)[p] = x[p].
+            for (Index q = 0; q < n; ++q) dst[q] = epilogue(p0 + q, c[q], c[q]);
             return;
         }
         const double* jm = (dim >= 2 && j > 1) ? c - sy : zero;
@@ -81,7 +88,7 @@ void LaplacianOp::apply(const Vec& x, Vec& y) const {
         auto edge = [&](Index q) {
             const Index i = i0 + q;
             if (da.on_boundary(i, j, k)) {
-                dst[q] = c[q];
+                dst[q] = epilogue(p0 + q, c[q], c[q]);
                 return;
             }
             double acc = two_d * c[q];
@@ -91,7 +98,7 @@ void LaplacianOp::apply(const Vec& x, Vec& y) const {
             acc -= jp[q];
             acc -= km[q];
             acc -= kp[q];
-            dst[q] = acc * inv_h2;
+            dst[q] = epilogue(p0 + q, acc * inv_h2, c[q]);
         };
         // [lo, hi): the points with 2 <= i < m-2, coupled to both x neighbors.
         const Index lo = std::clamp<Index>(2 - i0, 0, n);
@@ -105,7 +112,7 @@ void LaplacianOp::apply(const Vec& x, Vec& y) const {
             acc -= jp[q];
             acc -= km[q];
             acc -= kp[q];
-            dst[q] = acc * inv_h2;
+            dst[q] = epilogue(p0 + q, acc * inv_h2, c[q]);
         }
         for (Index q = hi; q < n; ++q) edge(q);
     };
@@ -138,6 +145,34 @@ void LaplacianOp::apply(const Vec& x, Vec& y) const {
             }
         }
     }
+}
+
+void LaplacianOp::apply(const Vec& x, Vec& y) const {
+    stencil_pass(x, y, "LaplacianOp::apply", [](Index, double ax, double) { return ax; });
+}
+
+void LaplacianOp::residual(const Vec& b, const Vec& x, Vec& r) const {
+    NNCOMM_CHECK_MSG(b.local_size() == r.local_size(),
+                     "LaplacianOp::residual: b and r differ in size");
+    NNCOMM_CHECK_MSG(&r != &b, "LaplacianOp::residual: output vector must not be b");
+    const double* bd = b.data();
+    stencil_pass(x, r, "LaplacianOp::residual",
+                 [bd](Index p, double ax, double) { return bd[p] - ax; });
+}
+
+void LaplacianOp::jacobi_sweep(const Vec& b, const Vec& d, double omega, const Vec& x,
+                               Vec& x_out) const {
+    NNCOMM_CHECK_MSG(b.local_size() == x_out.local_size() && d.local_size() == x_out.local_size(),
+                     "LaplacianOp::jacobi_sweep: b, d and x_out differ in size");
+    NNCOMM_CHECK_MSG(&x_out != &b && &x_out != &d,
+                     "LaplacianOp::jacobi_sweep: output vector must not be b or d");
+    const double* bd = b.data();
+    const double* dd = d.data();
+    // x + ((ω r) / d) with r = b - A x: the order of x[i] += ω r[i] / d[i].
+    stencil_pass(x, x_out, "LaplacianOp::jacobi_sweep",
+                 [bd, dd, omega](Index p, double ax, double xc) {
+                     return xc + omega * (bd[p] - ax) / dd[p];
+                 });
 }
 
 void LaplacianOp::fill_diagonal(Vec& d) const {

@@ -6,7 +6,11 @@
 //                      (this is the operator the multigrid solver uses, so
 //                      every smoothing sweep and residual evaluation
 //                      triggers the paper's nonuniform, noncontiguous
-//                      neighbor communication);
+//                      neighbor communication). The residual r = b - A x
+//                      and the damped Jacobi sweep x + ω(b - A x)/d are
+//                      the same single stencil pass with a different
+//                      per-point epilogue, bit-identical to apply followed
+//                      by the separate vector operations;
 //   assemble_laplacian — the same operator assembled into a MatAIJ (used
 //                      by tests to validate both paths against each other
 //                      and by the Krylov examples).
@@ -33,7 +37,19 @@ public:
     /// turns).
     explicit LaplacianOp(std::shared_ptr<const DMDA> dmda, coll::CollConfig config = {});
 
+    /// y = A x. `y` must not be `x`.
     void apply(const Vec& x, Vec& y) const override;
+
+    /// r = b - A x in one pass: the same bits as apply(x, r) followed by
+    /// r.waxpy_diff(b, r). `r` must be neither `b` nor `x`.
+    void residual(const Vec& b, const Vec& x, Vec& r) const;
+
+    /// One damped Jacobi sweep in one pass: x_out = x + ω (b - A x) / d,
+    /// the same bits as r = b - A x followed by x_out[i] = x[i] + ω r[i] /
+    /// d[i]. `x` is never written (its values are read from the ghost
+    /// exchange's copy), so the caller ping-pongs two vectors; `x_out` must
+    /// be none of `b`, `d` and `x`.
+    void jacobi_sweep(const Vec& b, const Vec& d, double omega, const Vec& x, Vec& x_out) const;
 
     /// Diagonal of the operator (for Jacobi smoothing): 2·dim/h² on
     /// interior points, 1 on boundary points.
@@ -43,6 +59,12 @@ public:
     double h() const { return h_; }
 
 private:
+    /// The split-phase stencil pass shared by apply, residual and
+    /// jacobi_sweep: y[p] = epilogue(p, (A x)[p], x[p]) for every owned
+    /// point p. `who` names the caller in error messages.
+    template <class Epilogue>
+    void stencil_pass(const Vec& x, Vec& y, const char* who, Epilogue epilogue) const;
+
     std::shared_ptr<const DMDA> dmda_;
     coll::CollConfig config_;
     double h_;

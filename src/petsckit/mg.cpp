@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 namespace nncomm::pk {
 
@@ -198,19 +199,22 @@ MGSolver::MGSolver(rt::Comm& comm, int dim, GridSize fine, const MGConfig& confi
         Level lvl;
         lvl.dmda = std::make_shared<const DMDA>(comm, dim, g, 1, 1, Stencil::Star);
         lvl.op = std::make_unique<LaplacianOp>(lvl.dmda, config.coll);
-        lvl.b = lvl.dmda->create_global();
-        lvl.x = lvl.b.clone_empty();
-        lvl.r = lvl.b.clone_empty();
+        lvl.r = lvl.dmda->create_global();
+        // Level 0 reads the caller's b and borrows the caller's x.
+        if (l > 0) {
+            lvl.b = lvl.r.clone_empty();
+            lvl.x = lvl.r.clone_empty();
+        }
         // The coarsest level is solved, never smoothed: it needs no
         // diagonal, Jacobi preconditioner or eigenvalue estimate.
         if (l + 1 < config.levels) {
-            lvl.diag = lvl.b.clone_empty();
+            lvl.diag = lvl.r.clone_empty();
             lvl.op->fill_diagonal(lvl.diag);
             if (config.smoother == Smoother::Chebyshev) {
                 Vec d = lvl.diag.clone_empty();
                 d.copy_from(lvl.diag);
                 lvl.jacobi = std::make_unique<JacobiPreconditioner>(std::move(d));
-                lvl.lambda_max = estimate_max_eigenvalue(*lvl.op, lvl.b,
+                lvl.lambda_max = estimate_max_eigenvalue(*lvl.op, lvl.r,
                                                          config.cheby_power_iters,
                                                          lvl.jacobi.get());
             }
@@ -239,22 +243,17 @@ MGSolver::MGSolver(MGSolver&&) noexcept = default;
 MGSolver& MGSolver::operator=(MGSolver&&) noexcept = default;
 MGSolver::~MGSolver() = default;
 
-void MGSolver::smooth(Level& lvl, const Vec& b, Vec& x, int sweeps) {
+void MGSolver::smooth(Level& lvl, const Vec& b, int sweeps) {
     if (config_.smoother == Smoother::Chebyshev) {
-        chebyshev(*lvl.op, b, x, config_.cheby_fraction_lo * lvl.lambda_max,
+        chebyshev(*lvl.op, b, lvl.x, config_.cheby_fraction_lo * lvl.lambda_max,
                   config_.cheby_fraction_hi * lvl.lambda_max, sweeps, lvl.jacobi.get());
         return;
     }
-    const std::size_t n = static_cast<std::size_t>(x.local_size());
+    // A sweep never writes its input (the ghost exchange reads it), so x
+    // and r trade storage after each one.
     for (int s = 0; s < sweeps; ++s) {
-        lvl.op->apply(x, lvl.r);            // r = A x
-        lvl.r.waxpy_diff(b, lvl.r);         // r = b - A x
-        double* xd = x.data();
-        const double* rd = lvl.r.data();
-        const double* dd = lvl.diag.data();
-        for (std::size_t i = 0; i < n; ++i) {
-            xd[i] += config_.jacobi_omega * rd[i] / dd[i];
-        }
+        lvl.op->jacobi_sweep(b, lvl.diag, config_.jacobi_omega, lvl.x, lvl.r);
+        std::swap(lvl.x, lvl.r);
     }
 }
 
@@ -420,17 +419,16 @@ void MGSolver::prolong_and_correct(std::size_t fine_level) {
     }
 }
 
-void MGSolver::cycle(std::size_t l) {
-    // Improves levels_[l].x for the current levels_[l].b (the caller has
+void MGSolver::cycle(std::size_t l, const Vec& b) {
+    // Improves levels_[l].x for the right-hand side b (the caller has
     // initialized x — zero for correction levels, the iterate on level 0).
     Level& lvl = levels_[l];
     if (l + 1 == levels_.size()) {
-        coarse_direct_->solve(lvl.b, lvl.x);
+        coarse_direct_->solve(b, lvl.x);
         return;
     }
-    smooth(lvl, lvl.b, lvl.x, config_.pre_smooth);
-    lvl.op->apply(lvl.x, lvl.r);
-    lvl.r.waxpy_diff(lvl.b, lvl.r);  // r = b - A x
+    smooth(lvl, b, config_.pre_smooth);
+    lvl.op->residual(b, lvl.x, lvl.r);
     restrict_residual(l);
     // gamma recursive corrections: one for a V-cycle, two for a W-cycle
     // (the second pass continues improving the same coarse solution). The
@@ -439,25 +437,32 @@ void MGSolver::cycle(std::size_t l) {
     levels_[l + 1].x.zero();
     const bool next_is_coarsest = l + 2 == levels_.size();
     const int gamma = (config_.cycle_type == CycleType::W && !next_is_coarsest) ? 2 : 1;
-    for (int g = 0; g < gamma; ++g) cycle(l + 1);
+    for (int g = 0; g < gamma; ++g) cycle(l + 1, levels_[l + 1].b);
     prolong_and_correct(l);
-    smooth(lvl, lvl.b, lvl.x, config_.post_smooth);
+    smooth(lvl, b, config_.post_smooth);
 }
 
 void MGSolver::v_cycle(const Vec& b, Vec& x) {
-    levels_[0].b.copy_from(b);
-    levels_[0].x.copy_from(x);
-    cycle(0);
-    x.copy_from(levels_[0].x);
+    Level& top = levels_[0];
+    NNCOMM_CHECK_MSG(&b != &x, "MGSolver::v_cycle: b and x must be different vectors");
+    NNCOMM_CHECK_MSG(x.local_size() == top.r.local_size() && b.local_size() == top.r.local_size(),
+                     "MGSolver::v_cycle: b and x must be vectors of the fine DMDA");
+    // Level 0 iterates on the caller's storage: lent here, returned below.
+    const double* const storage = x.data();
+    std::swap(top.x, x);
+    cycle(0, b);
+    if (top.x.data() != storage) {  // an odd number of Jacobi sweeps left it in r
+        top.r.copy_from(top.x);
+        std::swap(top.x, top.r);
+    }
+    std::swap(top.x, x);
 }
 
 KspResult MGSolver::solve(const Vec& b, Vec& x, double rtol, int max_cycles) {
     Vec r = b.clone_empty();
-    Vec Ax = b.clone_empty();
     const LaplacianOp& A = *levels_[0].op;
 
-    A.apply(x, Ax);
-    r.waxpy_diff(b, Ax);
+    A.residual(b, x, r);
     const double r0 = r.norm2();
     KspResult result;
     result.residual_norm = r0;
@@ -467,8 +472,7 @@ KspResult MGSolver::solve(const Vec& b, Vec& x, double rtol, int max_cycles) {
     }
     for (int it = 1; it <= max_cycles; ++it) {
         v_cycle(b, x);
-        A.apply(x, Ax);
-        r.waxpy_diff(b, Ax);
+        A.residual(b, x, r);
         result.iterations = it;
         result.residual_norm = r.norm2();
         if (result.residual_norm <= rtol * r0) {

@@ -3,9 +3,12 @@
 //
 // Grids coarsen by a factor of two per level (vertex-centered: the finer
 // grid must satisfy m_fine = 2·m_coarse − 1 along every active axis).
-// Per V-cycle and level:
-//   - pre-smoothing: damped Jacobi sweeps (each one evaluates the
-//     matrix-free Laplacian → DMDA ghost exchange),
+// Per V-cycle and level, with one pass over the grid per stencil step:
+//   - pre-smoothing: damped Jacobi sweeps, each one LaplacianOp::
+//     jacobi_sweep (a DMDA ghost exchange and one stencil pass computing
+//     x + ω(b - A x)/d into the level's r, which then trades storage with
+//     x),
+//   - the residual r = b - A x: one LaplacianOp::residual pass,
 //   - residual restriction: full weighting (tensor of [¼ ½ ¼]) through a
 //     PatchGather of the fine residual,
 //   - recursion to the coarse level; on the coarsest, a redundant direct
@@ -15,6 +18,8 @@
 //   - prolongation: trilinear interpolation through a PatchGather of the
 //     coarse correction,
 //   - post-smoothing.
+// No full-vector copy is made: the finest level reads the caller's b in
+// place and iterates on the caller's x storage.
 //
 // Every communication-bearing step (ghost exchange, both patch gathers,
 // the coarse allgatherv) runs through the configured ScatterBackend /
@@ -78,6 +83,9 @@ public:
     const MGConfig& config() const { return config_; }
 
     /// One V-cycle improving x for A x = b on the fine grid. Collective.
+    /// b is read in place and x is updated in its own storage (x.data() is
+    /// unchanged on return); neither is copied. b and x must be different
+    /// vectors.
     void v_cycle(const Vec& b, Vec& x);
 
     /// Iterates V-cycles until the fine residual drops below rtol * ||r0||
@@ -92,14 +100,18 @@ private:
         Vec diag;       ///< operator diagonal (Jacobi smoother)
         std::unique_ptr<JacobiPreconditioner> jacobi;  ///< for Chebyshev
         double lambda_max = 0.0;  ///< power-iteration estimate of D^-1 A
-        Vec b, x, r;    ///< per-level work vectors
+        // Work vectors. Level 0 has no b (it reads the caller's in place)
+        // and holds the caller's x only during v_cycle.
+        Vec b;  ///< right-hand side: the restricted residual
+        Vec x;  ///< iterate (correction levels start from zero)
+        Vec r;  ///< residual; a Jacobi sweep's output, then swapped with x
         // Transfers to/from the next-coarser level (absent on the coarsest):
         std::unique_ptr<PatchGather> fine_patch;    ///< fine residual around coarse box
         std::unique_ptr<PatchGather> coarse_patch;  ///< coarse correction around fine box
     };
 
-    void smooth(Level& lvl, const Vec& b, Vec& x, int sweeps);
-    void cycle(std::size_t l);  ///< V-cycle on level l (0 = finest)
+    void smooth(Level& lvl, const Vec& b, int sweeps);  ///< improves lvl.x
+    void cycle(std::size_t l, const Vec& b);  ///< V/W-cycle on level l (0 = finest)
     void restrict_residual(std::size_t fine_level);
     void prolong_and_correct(std::size_t fine_level);
 

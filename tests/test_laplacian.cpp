@@ -1,12 +1,15 @@
 // Tests for the matrix-free Laplacian's row kernels: bit-exact agreement
 // with a point-at-a-time evaluation of the same stencil on every
-// decomposition shape (including owned boxes one and two points wide), and
-// the output-size check.
+// decomposition shape (including owned boxes one and two points wide),
+// bit-exact agreement of the fused residual and Jacobi sweep with apply
+// followed by the separate vector operations, and the output checks
+// (size, and no output that is an input).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "petsckit/laplacian.hpp"
@@ -92,14 +95,22 @@ struct StencilCase {
 // Applies the operator to a vector that is non-zero on every point,
 // Dirichlet points included (so a dropped coupling that leaked into the
 // sum would change the result), and compares bytes with the reference.
+// Then compares the fused passes byte for byte with apply followed by the
+// separate vector operations: residual with waxpy_diff, jacobi_sweep with
+// the update loop x[i] += ω r[i] / d[i]. b and d carry full mantissas too,
+// so any change in the epilogues' operation order shows.
 void expect_bit_exact(const StencilCase& tc) {
     World w(tc.nranks);
     w.run([&](Comm& c) {
         auto da = std::make_shared<const DMDA>(c, tc.dim, tc.g, 1, tc.width, tc.stencil);
         LaplacianOp A(da);
         Vec x = da->create_global();
+        Vec b = x.clone_empty(), d = x.clone_empty();
         for (Index gi = x.range().begin; gi < x.range().end; ++gi) {
-            x.at_global(gi) = full_mantissa(static_cast<std::uint64_t>(gi));
+            const auto key = static_cast<std::uint64_t>(gi);
+            x.at_global(gi) = full_mantissa(key);
+            b.at_global(gi) = full_mantissa(key + 0x10000);
+            d.at_global(gi) = 1.5 + 0.5 * full_mantissa(key + 0x20000);  // in [1, 2)
         }
         Vec y = x.clone_empty();
         for (int rep = 0; rep < 2; ++rep) A.apply(x, y);  // rep 1 reuses the scratch
@@ -108,14 +119,33 @@ void expect_bit_exact(const StencilCase& tc) {
         da->global_to_local(x, loc);
         const std::vector<double> ref = reference_apply(*da, loc);
         ASSERT_EQ(ref.size(), static_cast<std::size_t>(y.local_size()));
-        EXPECT_EQ(std::memcmp(ref.data(), y.data(), ref.size() * sizeof(double)), 0)
-            << "dim=" << tc.dim << " grid=" << tc.g.m << "x" << tc.g.n << "x" << tc.g.p
-            << " nranks=" << tc.nranks << " rank=" << c.rank();
+        const std::size_t bytes = ref.size() * sizeof(double);
+        const std::string where = "dim=" + std::to_string(tc.dim) + " grid=" +
+                                  std::to_string(tc.g.m) + "x" + std::to_string(tc.g.n) + "x" +
+                                  std::to_string(tc.g.p) + " nranks=" +
+                                  std::to_string(tc.nranks) + " rank=" + std::to_string(c.rank());
+        EXPECT_EQ(std::memcmp(ref.data(), y.data(), bytes), 0) << "apply " << where;
+
+        const double omega = 2.0 / 3.0;
+        Vec r_ref = x.clone_empty(), x_ref = x.clone_empty();
+        r_ref.waxpy_diff(b, y);
+        x_ref.copy_from(x);
+        for (Index i = 0; i < x.local_size(); ++i) {
+            x_ref.data()[i] += omega * r_ref.data()[i] / d.data()[i];
+        }
+        Vec x_before = x.clone_empty();
+        x_before.copy_from(x);
+        Vec r = x.clone_empty(), x_out = x.clone_empty();
+        A.residual(b, x, r);
+        A.jacobi_sweep(b, d, omega, x, x_out);
+        EXPECT_EQ(std::memcmp(r.data(), r_ref.data(), bytes), 0) << "residual " << where;
+        EXPECT_EQ(std::memcmp(x_out.data(), x_ref.data(), bytes), 0) << "sweep " << where;
+        EXPECT_EQ(std::memcmp(x.data(), x_before.data(), bytes), 0) << "x written " << where;
     });
 }
 
 TEST(Laplacian, RowKernelsMatchPointwiseStencilBitForBit) {
-    for (int nranks = 1; nranks <= 5; ++nranks) {
+    for (int nranks = 1; nranks <= 7; ++nranks) {
         expect_bit_exact({1, GridSize{13, 1, 1}, nranks});
         expect_bit_exact({2, GridSize{9, 7, 1}, nranks});
         expect_bit_exact({3, GridSize{7, 6, 5}, nranks});
@@ -137,6 +167,33 @@ TEST(Laplacian, RowKernelsMatchOnWideBoxGhosts) {
     // the stencil reaches.
     expect_bit_exact({2, GridSize{11, 9, 1}, 4, 2, Stencil::Box});
     expect_bit_exact({3, GridSize{8, 8, 8}, 2, 2, Stencil::Box});
+}
+
+// The fused passes refuse an output of the wrong size, and an output that
+// is x (written while the ghost exchange still reads it), b or d.
+TEST(Laplacian, FusedPassesRejectBadOutputs) {
+    World w(2);
+    w.run([](Comm& c) {
+        auto da = std::make_shared<const DMDA>(c, 3, GridSize{9, 9, 9}, 1, 1, Stencil::Star);
+        const DMDA small(c, 3, GridSize{5, 5, 5}, 1, 1, Stencil::Star);
+        LaplacianOp A(da);
+        Vec x = da->create_global();
+        Vec b = x.clone_empty(), d = x.clone_empty(), out = x.clone_empty();
+        d.set_all(1.0);
+        Vec wrong = small.create_global();
+        EXPECT_THROW(A.residual(b, x, wrong), nncomm::Error);
+        EXPECT_THROW(A.residual(b, x, x), nncomm::Error);
+        EXPECT_THROW(A.residual(b, x, b), nncomm::Error);
+        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, wrong), nncomm::Error);
+        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, x), nncomm::Error);
+        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, b), nncomm::Error);
+        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, d), nncomm::Error);
+        EXPECT_THROW(A.apply(x, x), nncomm::Error);
+        // Every rejection fires before the ghost exchange begins, so the
+        // operator is still usable.
+        A.residual(b, x, out);
+        A.jacobi_sweep(b, d, 0.5, x, out);
+    });
 }
 
 TEST(Laplacian, ApplyRejectsMismatchedOutput) {

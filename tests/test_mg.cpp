@@ -1,12 +1,15 @@
 // Tests for the geometric multigrid solver: hierarchy construction,
-// V-cycle contraction, full solves in 1/2/3-D, backend equivalence, and
-// use as the paper's §5.5 application (3-D Laplacian, three levels).
+// V-cycle contraction, full solves in 1/2/3-D, backend equivalence, pinned
+// bits and caller storage across smoother and cycle variants, and use as
+// the paper's §5.5 application (3-D Laplacian, three levels).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "petsckit/mg.hpp"
 
@@ -271,6 +274,105 @@ TEST(Mg, TwoVcyclesAreBitPinned) {
         EXPECT_EQ(got, tc.hash) << "dim=" << tc.dim << " nranks=" << tc.nranks << " got 0x"
                                 << std::hex << got;
     }
+}
+
+// Smoother and cycle variants of two 3-level cycles from a non-zero guess:
+// an odd level-0 Jacobi sweep count (the iterate ends a cycle in the
+// level's other vector), no pre-smoothing, the Chebyshev smoother (which
+// updates x in place) and a W-cycle. The hashes were recorded from the
+// unfused smoother (apply, waxpy_diff and a separate update loop, with
+// v_cycle copying b and x in and x out).
+struct CycleCase {
+    const char* name;
+    int pre_smooth, post_smooth;
+    pk::Smoother smoother;
+    pk::CycleType cycle_type;
+    std::uint64_t hash_2d, hash_3d;  ///< 33x17 on 4 ranks, 17x17x9 on 3 ranks
+};
+const CycleCase kCycleCases[] = {
+    {"pre1post2", 1, 2, pk::Smoother::Jacobi, pk::CycleType::V, 0xfa3c88f00a4c060eull,
+     0xc1d3899abe2ccd6dull},
+    {"pre0", 0, 2, pk::Smoother::Jacobi, pk::CycleType::V, 0xc5115e9ada18f662ull,
+     0xfa3ecd0065608920ull},
+    {"chebyshev", 2, 2, pk::Smoother::Chebyshev, pk::CycleType::V, 0xd4da84c65c4801feull,
+     0x9bb12abeeb73bee3ull},
+    {"wcycle", 2, 2, pk::Smoother::Jacobi, pk::CycleType::W, 0x594d7ee3345e50bcull,
+     0xaee97a7fd396047eull},
+};
+
+// v_cycle reads b in place and updates x in x's own storage: x.data() is
+// the same pointer after every cycle, b is untouched, and the bits match
+// the unfused reference.
+TEST(Mg, VcycleKeepsCallerStorageAndPinnedBits) {
+    const struct {
+        int dim;
+        GridSize g;
+        int nranks;
+    } grids[] = {{2, GridSize{33, 17, 1}, 4}, {3, GridSize{17, 17, 9}, 3}};
+    for (const CycleCase& tc : kCycleCases) {
+        for (const auto& grid : grids) {
+            const GridSize g = grid.g;
+            World w(grid.nranks);
+            std::vector<double> global(static_cast<std::size_t>(g.m * g.n * g.p));
+            w.run([&](Comm& c) {
+                MGConfig cfg;
+                cfg.levels = 3;
+                cfg.pre_smooth = tc.pre_smooth;
+                cfg.post_smooth = tc.post_smooth;
+                cfg.smoother = tc.smoother;
+                cfg.cycle_type = tc.cycle_type;
+                MGSolver mg(c, grid.dim, g, cfg);
+                Vec b = mg.fine_dmda().create_global();
+                Vec x = b.clone_empty();
+                for (Index gi = b.range().begin; gi < b.range().end; ++gi) {
+                    b.at_global(gi) = 1.0 + static_cast<double>((gi * 7919) % 1013) / 1024.0;
+                    x.at_global(gi) = static_cast<double>((gi * 104729) % 2003) / 4096.0;
+                }
+                Vec b_before = b.clone_empty();
+                b_before.copy_from(b);
+                const double* storage = x.data();
+                for (int cycle = 0; cycle < 2; ++cycle) {
+                    mg.v_cycle(b, x);
+                    EXPECT_EQ(x.data(), storage) << tc.name << " cycle " << cycle;
+                }
+                EXPECT_EQ(std::memcmp(b.data(), b_before.data(),
+                                      static_cast<std::size_t>(b.local_size()) * sizeof(double)),
+                          0)
+                    << tc.name;
+                std::copy(x.local().begin(), x.local().end(),
+                          global.begin() + static_cast<std::ptrdiff_t>(x.range().begin));
+            });
+            const std::uint64_t got = fnv1a(global);
+            EXPECT_EQ(got, grid.dim == 2 ? tc.hash_2d : tc.hash_3d)
+                << tc.name << " dim=" << grid.dim << " got 0x" << std::hex << got;
+        }
+    }
+}
+
+// v_cycle(b, b) would iterate on the right-hand side it reads: rejected
+// with a message before any communication.
+TEST(Mg, VcycleRejectsAliasedRhsAndIterate) {
+    World w(2);
+    std::string message;
+    std::mutex mu;
+    w.run([&](Comm& c) {
+        MGConfig cfg;
+        cfg.levels = 2;
+        MGSolver mg(c, 2, GridSize{17, 17, 1}, cfg);
+        Vec b = mg.fine_dmda().create_global();
+        pk::fill_rhs_constant(mg.fine_dmda(), b);
+        try {
+            mg.v_cycle(b, b);
+        } catch (const nncomm::Error& e) {
+            std::lock_guard<std::mutex> lk(mu);
+            message = e.what();
+        }
+        // The solver is still usable afterwards.
+        Vec x = b.clone_empty();
+        mg.v_cycle(b, x);
+        EXPECT_GT(x.norm_inf(), 0.0);
+    });
+    EXPECT_NE(message.find("b and x must be different vectors"), std::string::npos) << message;
 }
 
 // A full-mantissa value per global grid point: (i, j, k) -> [0.5, 1.5).
