@@ -21,8 +21,9 @@
 // verifies the expected kernel class actually fired (and, at vector
 // levels, that bytes moved through vector registers).
 //
-// Results go to stdout and BENCH_pack_simd.json. `--smoke` shrinks the
-// buffers and repetitions for CI.
+// Results go to stdout and BENCH_pack_simd.json, which keeps every rep's
+// pair ratio per family beside the min-of-pairs gate value. `--smoke`
+// shrinks the buffers and repetitions for CI.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -96,6 +97,7 @@ struct Result {
     double manual_pack_ms = 0.0, plan_pack_ms = 0.0;
     double manual_unpack_ms = 0.0, plan_unpack_ms = 0.0;
     double pack_ratio = 0.0, unpack_ratio = 0.0;  ///< plan / manual; <= 1 is a win
+    std::vector<double> pack_pairs, unpack_pairs;  ///< every rep's plan / manual
     bool pass = false;
 };
 
@@ -111,6 +113,7 @@ struct Paired {
     double a_ms = 1e300;   ///< min over reps (reporting)
     double b_ms = 1e300;   ///< min over reps (reporting)
     double ratio = 1e300;  ///< min over reps of the per-pair b/a (the gate)
+    std::vector<double> pairs;  ///< every rep's b/a, in rep order
 };
 
 Paired time_paired_min_ms(int reps, int iters, const std::function<void()>& a,
@@ -130,7 +133,10 @@ Paired time_paired_min_ms(int reps, int iters, const std::function<void()>& a,
         }
         out.a_ms = std::min(out.a_ms, a_ms);
         out.b_ms = std::min(out.b_ms, b_ms);
-        if (a_ms > 0.0) out.ratio = std::min(out.ratio, b_ms / a_ms);
+        if (a_ms > 0.0) {
+            out.ratio = std::min(out.ratio, b_ms / a_ms);
+            out.pairs.push_back(b_ms / a_ms);
+        }
     }
     return out;
 }
@@ -196,12 +202,14 @@ Result run_family(const Family& f) {
     res.manual_pack_ms = p.a_ms;
     res.plan_pack_ms = p.b_ms;
     res.pack_ratio = p.ratio;
+    res.pack_pairs = p.pairs;
     const Paired u = time_paired_min_ms(
         reps, iters, [&] { f.manual_unpack(user.data(), stream.data()); },
         [&] { plan.unpack(flat, user.data(), f.count, stream); });
     res.manual_unpack_ms = u.a_ms;
     res.plan_unpack_ms = u.b_ms;
     res.unpack_ratio = u.ratio;
+    res.unpack_pairs = u.pairs;
 
     res.pass = res.pack_ratio <= kTolerance && res.unpack_ratio <= kTolerance;
     return res;
@@ -403,6 +411,15 @@ int main(int argc, char** argv) {
         std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
         std::fprintf(f, "  \"tolerance\": %.2f,\n", kTolerance);
         std::fprintf(f, "  \"families\": {\n");
+        // Every rep's pair ratio goes beside the min-of-pairs gate value, so
+        // a failing row shows whether one pair or all of them were slow.
+        auto print_pairs = [f](const std::vector<double>& pairs) {
+            std::fprintf(f, "[");
+            for (std::size_t k = 0; k < pairs.size(); ++k) {
+                std::fprintf(f, "%s%.4f", k == 0 ? "" : ", ", pairs[k]);
+            }
+            std::fprintf(f, "]");
+        };
         for (std::size_t i = 0; i < results.size(); ++i) {
             const auto& r = results[i];
             std::fprintf(f,
@@ -410,10 +427,14 @@ int main(int argc, char** argv) {
                          "\"manual_pack_ms\": %.6f, \"plan_pack_ms\": %.6f, "
                          "\"pack_ratio\": %.4f, \"manual_unpack_ms\": %.6f, "
                          "\"plan_unpack_ms\": %.6f, \"unpack_ratio\": %.4f, "
-                         "\"pass\": %s }%s\n",
+                         "\"pack_pair_ratios\": ",
                          r.name.c_str(), r.kernel, r.vectorized ? "true" : "false",
                          r.manual_pack_ms, r.plan_pack_ms, r.pack_ratio, r.manual_unpack_ms,
-                         r.plan_unpack_ms, r.unpack_ratio, r.pass ? "true" : "false",
+                         r.plan_unpack_ms, r.unpack_ratio);
+            print_pairs(r.pack_pairs);
+            std::fprintf(f, ", \"unpack_pair_ratios\": ");
+            print_pairs(r.unpack_pairs);
+            std::fprintf(f, ", \"pass\": %s }%s\n", r.pass ? "true" : "false",
                          i + 1 == results.size() ? "" : ",");
         }
         std::fprintf(f, "  },\n");

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <limits>
 
+#include "datatype/pack.hpp"
+
 namespace nncomm::pk {
 
 std::array<int, 3> DMDA::factor_grid(int nprocs, int dim, GridSize size) {
@@ -318,16 +320,34 @@ void DMDA::global_to_local(const Vec& global, std::span<double> local,
 
 coll::CollRequest DMDA::global_to_local_begin(const Vec& global, std::span<double> local,
                                               const coll::CollConfig& config) const {
+    coll::CollRequest req = ghosts_begin(global, local, config);
+    if (config.alltoallw_algo == coll::AlltoallwAlgo::RoundRobin) return req;  // self entry ran
+    // The owned box into its place in the ghosted array, unpacked by the
+    // self entry's receive type. The plan's receives write only ghost
+    // points, so this runs alongside them.
+    const auto self = static_cast<std::size_t>(comm_->rank());
+    dt::unpack_from(local.data(), g2l_rtypes_[self], 1,
+                    std::as_bytes(std::span<const double>(global.local())));
+    return req;
+}
+
+coll::CollRequest DMDA::ghosts_begin(const Vec& global, std::span<double> local,
+                                     const coll::CollConfig& config) const {
     NNCOMM_CHECK_MSG(global.local_size() == owned_.volume() * dof_,
-                     "global_to_local: global vector does not match this DMDA");
+                     "ghost exchange: global vector does not match this DMDA");
     NNCOMM_CHECK_MSG(static_cast<Index>(local.size()) == ghosted_.volume() * dof_,
-                     "global_to_local: local array has the wrong size");
+                     "ghost exchange: local array has the wrong size");
     if (config.alltoallw_algo == coll::AlltoallwAlgo::RoundRobin) {
         return coll::ialltoallw(*comm_, global.data(), g2l_scounts_, g2l_sdispls_,
                                 g2l_stypes_, local.data(), g2l_rcounts_, g2l_rdispls_,
                                 g2l_rtypes_, config);
     }
     if (!g2l_plan_) {
+        // Ghost slabs only: the self entry is dropped from the plan.
+        const auto self = static_cast<std::size_t>(comm_->rank());
+        auto scounts = g2l_scounts_, rcounts = g2l_rcounts_;
+        scounts[self] = 0;
+        rcounts[self] = 0;
         // Two-sided whatever config.persistent_protocol says (Eager selects
         // the send/recv graph; large slabs still go rendezvous): an RMA
         // plan's closing fence spans the communicator, so no rank could
@@ -336,12 +356,12 @@ coll::CollRequest DMDA::global_to_local_begin(const Vec& global, std::span<doubl
         coll::CollConfig two_sided;
         two_sided.persistent_protocol = rt::Protocol::Eager;
         g2l_plan_ = std::make_unique<coll::AlltoallwPlan>(
-            *comm_, g2l_scounts_, g2l_sdispls_, g2l_stypes_, g2l_rcounts_, g2l_rdispls_,
-            g2l_rtypes_, two_sided, comm_->engine_kind());
+            *comm_, scounts, g2l_sdispls_, g2l_stypes_, rcounts, g2l_rdispls_, g2l_rtypes_,
+            two_sided, comm_->engine_kind());
     }
     NNCOMM_CHECK_MSG(!g2l_plan_->in_flight(),
-                     "global_to_local_begin: this DMDA's previous ghost exchange is still in "
-                     "flight; complete it with global_to_local_end first");
+                     "ghost exchange: this DMDA's previous ghost exchange is still in flight; "
+                     "complete it with global_to_local_end first");
     return g2l_plan_->begin(global.data(), local.data());
 }
 

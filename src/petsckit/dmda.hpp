@@ -17,22 +17,27 @@
 // volumes) and non-neighbors exchange nothing (zero volumes).
 //
 // The exchange is the same on every stencil apply, so each DMDA compiles
-// it once: the first Binned/Auto global_to_local builds a persistent
+// it once: the first Binned/Auto exchange builds a persistent
 // coll::AlltoallwPlan from the prebuilt per-neighbor subarray arrays (the
 // in-process analogue of MPI-4's MPI_Neighbor_alltoallw_init), and every
 // later call runs that plan — no schedule compile, no pack-engine
-// construction, no staging allocation. The plan is always two-sided: the
-// RMA lowering closes each execution with a fence over the whole
+// construction, no staging allocation. The plan moves ghost slabs only:
+// it has no self entry. ghosts_begin runs it as is, for callers that read
+// owned values straight from the global vector (the stencil pass), and
+// global_to_local_begin adds a copy of the owned box into the local
+// array. The plan is always two-sided: the RMA lowering closes each
+// execution with a fence over the whole
 // communicator, which ties every rank's completion to the slowest rank's
 // and so cancels the split-phase overlap (EXPERIMENTS.md has the
 // measurements). RoundRobin calls stay one-shot ialltoallw: they are the
 // paper's non-persistent MPICH2 baseline, the same rule
 // VecScatter::begin_datatype follows.
 //
-// The plan is single-flight: a global_to_local_begin while this DMDA's
-// previous exchange has not been completed with global_to_local_end
-// throws. The returned request shares ownership of the plan's execution
-// state, so it stays safe to complete after the DMDA is destroyed.
+// The plan is single-flight: a ghosts_begin or global_to_local_begin while
+// this DMDA's previous exchange has not been completed with
+// global_to_local_end throws. The returned request shares ownership of
+// the plan's execution state, so it stays safe to complete after the DMDA
+// is destroyed.
 #pragma once
 
 #include <array>
@@ -111,16 +116,26 @@ public:
 
     /// Split-phase ghost exchange: fires the Alltoallw schedule and returns
     /// while the ghost slabs are in flight. The owned region of `local` is
-    /// already filled when this returns (the self copy runs inside begin),
-    /// so interior stencil points can be computed before _end. Drive the
-    /// returned request with test() for overlap progress; complete it with
-    /// global_to_local_end. begin + end is bit-identical to
+    /// already filled when this returns (the owned box is copied after the
+    /// exchange fires), so interior stencil points can be computed before
+    /// _end. Drive the returned request with test() for overlap progress;
+    /// complete it with global_to_local_end. begin + end is bit-identical to
     /// global_to_local. Binned/Auto configs run the DMDA's persistent plan
     /// and throw while a previous exchange on this DMDA is still in flight;
     /// RoundRobin runs one-shot.
     coll::CollRequest global_to_local_begin(const Vec& global, std::span<double> local,
                                             const coll::CollConfig& config = {}) const;
-    /// Completes a split-phase ghost exchange begun by global_to_local_begin.
+    /// The ghost half of global_to_local_begin: once the returned request is
+    /// completed with global_to_local_end, every ghost point of `local` holds
+    /// the same bits global_to_local writes there. The owned region of
+    /// `local` is unspecified (the persistent plan leaves it untouched; the
+    /// one-shot RoundRobin exchange fills it), so a caller reads owned
+    /// values from `global` itself. Same single-flight rule and algorithm
+    /// choice as global_to_local_begin.
+    coll::CollRequest ghosts_begin(const Vec& global, std::span<double> local,
+                                   const coll::CollConfig& config = {}) const;
+    /// Completes a split-phase exchange begun by global_to_local_begin or
+    /// ghosts_begin.
     static void global_to_local_end(coll::CollRequest& req) { req.wait(); }
 
     /// Copies the owned region of `local` back into the global vector
@@ -203,14 +218,17 @@ private:
     std::shared_ptr<const Layout> layout_;
 
     std::vector<Neighbor> neighbors_;
-    // Prebuilt Alltoallw arrays for the ghost exchange: the inputs of both
-    // the persistent plan and the one-shot RoundRobin path.
+    // Prebuilt Alltoallw arrays for the ghost exchange, self entry (owned
+    // box into the local array) included: the one-shot RoundRobin path runs
+    // them as they are, the persistent plan without the self entry, and
+    // global_to_local_begin copies the owned box with the self receive
+    // type.
     std::vector<std::size_t> g2l_scounts_, g2l_rcounts_;
     std::vector<std::ptrdiff_t> g2l_sdispls_, g2l_rdispls_;
     std::vector<dt::Datatype> g2l_stypes_, g2l_rtypes_;
-    // The persistent ghost plan, built lazily by the first Binned/Auto
-    // exchange. Each rank thread owns its DMDA (like its Comm), so
-    // mutable-without-locks is safe.
+    // The persistent ghost plan (ghost slabs only), built lazily by the
+    // first Binned/Auto exchange. Each rank thread owns its DMDA (like its
+    // Comm), so mutable-without-locks is safe.
     mutable std::unique_ptr<coll::AlltoallwPlan> g2l_plan_;
 };
 

@@ -6,8 +6,10 @@
 //                      (this is the operator the multigrid solver uses, so
 //                      every smoothing sweep and residual evaluation
 //                      triggers the paper's nonuniform, noncontiguous
-//                      neighbor communication). The residual r = b - A x
-//                      and the damped Jacobi sweep x + ω(b - A x)/d are
+//                      neighbor communication). The exchange moves ghost
+//                      points only; owned values are read from x in place.
+//                      The residual r = b - A x and the damped Jacobi sweep
+//                      x + ω(b - A x)/d (d the operator's diagonal) are
 //                      the same single stencil pass with a different
 //                      per-point epilogue, bit-identical to apply followed
 //                      by the separate vector operations;
@@ -44,12 +46,13 @@ public:
     /// r.waxpy_diff(b, r). `r` must be neither `b` nor `x`.
     void residual(const Vec& b, const Vec& x, Vec& r) const;
 
-    /// One damped Jacobi sweep in one pass: x_out = x + ω (b - A x) / d,
-    /// the same bits as r = b - A x followed by x_out[i] = x[i] + ω r[i] /
-    /// d[i]. `x` is never written (its values are read from the ghost
-    /// exchange's copy), so the caller ping-pongs two vectors; `x_out` must
-    /// be none of `b`, `d` and `x`.
-    void jacobi_sweep(const Vec& b, const Vec& d, double omega, const Vec& x, Vec& x_out) const;
+    /// One damped Jacobi sweep in one pass: x_out = x + ω (b - A x) / d with
+    /// d the operator's own diagonal (what fill_diagonal writes), the same
+    /// bits as r = b - A x followed by x_out[i] = x[i] + ω r[i] / d[i]. `x`
+    /// is never written (the ghost exchange reads it while the pass runs),
+    /// so the caller ping-pongs two vectors; `x_out` must be neither `b`
+    /// nor `x`.
+    void jacobi_sweep(const Vec& b, double omega, const Vec& x, Vec& x_out) const;
 
     /// Diagonal of the operator (for Jacobi smoothing): 2·dim/h² on
     /// interior points, 1 on boundary points.
@@ -60,8 +63,10 @@ public:
 
 private:
     /// The split-phase stencil pass shared by apply, residual and
-    /// jacobi_sweep: y[p] = epilogue(p, (A x)[p], x[p]) for every owned
-    /// point p. `who` names the caller in error messages.
+    /// jacobi_sweep: y[p] = epilogue(p, (A x)[p], x[p], A[p][p]) for every
+    /// owned point p. Owned values are read from x in place; the ghost
+    /// exchange (DMDA::ghosts_begin) fills only the scratch's ghost points.
+    /// `who` names the caller in error messages.
     template <class Epilogue>
     void stencil_pass(const Vec& x, Vec& y, const char* who, Epilogue epilogue) const;
 
@@ -69,7 +74,9 @@ private:
     coll::CollConfig config_;
     double h_;
     double inv_h2_;
-    mutable std::vector<double> ghosted_;  ///< scratch for the ghost exchange
+    /// Ghosted scratch for the ghost exchange: only its ghost points are
+    /// read.
+    mutable std::vector<double> ghosted_;
     std::vector<double> zero_row_;  ///< owned().xm zeros: the read of a dropped coupling
 };
 

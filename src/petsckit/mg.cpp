@@ -56,6 +56,100 @@ GridBox prolongation_reach(const GridBox& fo, GridSize cg) {
     return r;
 }
 
+/// The fine rows one coarse row's full weighting reads (dz outer, then
+/// dy): each row's offset from the fine center row and its weights for
+/// dx = -1, 0, 1.
+struct FineTaps {
+    Index off[9];
+    double w[9][3];
+};
+
+/// Full weighting of coarse points [0, n) of one row: dst[q] sums, over
+/// the first NT taps in order, w[0..2] times the fine points 2q-1, 2q and
+/// 2q+1 of the tap's row, with f the fine center of q = 0. Every lane
+/// performs the scalar sequence acc = 0, acc += w·v per read, so vector
+/// lanes produce the scalar bits. The transfer kernels unroll their tap
+/// loops by pragma: GCC vectorizes only an innermost loop, and -O2's
+/// complete unrolling stops short of 9 taps.
+template <int NT>
+void restrict_row(double* __restrict dst, const double* __restrict f, const FineTaps& taps,
+                  Index n) {
+    Index off[NT];
+    double w[NT][3];
+    for (int t = 0; t < NT; ++t) {
+        off[t] = taps.off[t];
+        for (int a = 0; a < 3; ++a) w[t][a] = taps.w[t][a];
+    }
+    for (Index q = 0; q < n; ++q) {
+        double acc = 0.0;
+#pragma GCC unroll 9
+        for (int t = 0; t < NT; ++t) {
+            const double* r = f + off[t] + 2 * q;
+            acc += w[t][0] * r[-1];
+            acc += w[t][1] * r[0];
+            acc += w[t][2] * r[1];
+        }
+        dst[q] = acc;
+    }
+}
+
+/// The coarse rows one fine row's interpolation reads (az outer, then ay;
+/// zero weights skipped): each row's offset in the patch and its weight
+/// wz·wy·wx for an even (wx = 1) and an odd (wx = 1/2) fine point.
+struct CoarseRows {
+    Index off[4];
+    double w_even[4], w_odd[4];
+};
+
+/// Adds the interpolated correction to fine points [xs, xe) of one row
+/// (dst[0] is fine point xs). Fine i = 2c reads coarse column c, i = 2c+1
+/// reads c and c+1 in that order (c in patch x coordinates, patch x
+/// origin pxs). Whole even/odd pairs run as one loop over coarse columns,
+/// each lane in the scalar operation order; a leading odd and a trailing
+/// even point are peeled.
+template <int NR>
+void prolong_row(double* __restrict dst, const double* __restrict v, const CoarseRows& rows,
+                 Index xs, Index xe, Index pxs) {
+    Index off[NR];
+    double we[NR], wo[NR];
+    for (int r = 0; r < NR; ++r) {
+        off[r] = rows.off[r];
+        we[r] = rows.w_even[r];
+        wo[r] = rows.w_odd[r];
+    }
+    auto even = [&](Index c) {
+        double acc = 0.0;
+#pragma GCC unroll 4
+        for (int r = 0; r < NR; ++r) acc += we[r] * v[off[r] + c];
+        return acc;
+    };
+    auto odd = [&](Index c) {
+        double acc = 0.0;
+#pragma GCC unroll 4
+        for (int r = 0; r < NR; ++r) {
+            acc += wo[r] * v[off[r] + c];
+            acc += wo[r] * v[off[r] + c + 1];
+        }
+        return acc;
+    };
+    Index i = xs;
+    if (i < xe && (i & 1) != 0) {
+        dst[0] += odd((i - 1) / 2 - pxs);
+        ++i;
+    }
+    const Index pairs = (xe - i) / 2;
+    double* d = dst + (i - xs);
+    const Index c0 = i / 2 - pxs;
+    for (Index p = 0; p < pairs; ++p) {
+        const double e = even(c0 + p);
+        const double o = odd(c0 + p);
+        d[2 * p] += e;
+        d[2 * p + 1] += o;
+    }
+    i += 2 * pairs;
+    if (i < xe) dst[i - xs] += even(i / 2 - pxs);
+}
+
 }  // namespace
 
 /// The coarsest level's redundant direct solve (PETSc's PCREDUNDANT). Every
@@ -206,18 +300,14 @@ MGSolver::MGSolver(rt::Comm& comm, int dim, GridSize fine, const MGConfig& confi
             lvl.x = lvl.r.clone_empty();
         }
         // The coarsest level is solved, never smoothed: it needs no
-        // diagonal, Jacobi preconditioner or eigenvalue estimate.
-        if (l + 1 < config.levels) {
-            lvl.diag = lvl.r.clone_empty();
-            lvl.op->fill_diagonal(lvl.diag);
-            if (config.smoother == Smoother::Chebyshev) {
-                Vec d = lvl.diag.clone_empty();
-                d.copy_from(lvl.diag);
-                lvl.jacobi = std::make_unique<JacobiPreconditioner>(std::move(d));
-                lvl.lambda_max = estimate_max_eigenvalue(*lvl.op, lvl.r,
-                                                         config.cheby_power_iters,
-                                                         lvl.jacobi.get());
-            }
+        // Jacobi preconditioner or eigenvalue estimate. The Jacobi smoother
+        // divides by the operator's own diagonal and needs neither.
+        if (l + 1 < config.levels && config.smoother == Smoother::Chebyshev) {
+            Vec d = lvl.r.clone_empty();
+            lvl.op->fill_diagonal(d);
+            lvl.jacobi = std::make_unique<JacobiPreconditioner>(std::move(d));
+            lvl.lambda_max = estimate_max_eigenvalue(*lvl.op, lvl.r, config.cheby_power_iters,
+                                                     lvl.jacobi.get());
         }
         levels_.push_back(std::move(lvl));
         if (l + 1 < config.levels) {
@@ -252,7 +342,7 @@ void MGSolver::smooth(Level& lvl, const Vec& b, int sweeps) {
     // A sweep never writes its input (the ghost exchange reads it), so x
     // and r trade storage after each one.
     for (int s = 0; s < sweeps; ++s) {
-        lvl.op->jacobi_sweep(b, lvl.diag, config_.jacobi_omega, lvl.x, lvl.r);
+        lvl.op->jacobi_sweep(b, config_.jacobi_omega, lvl.x, lvl.r);
         std::swap(lvl.x, lvl.r);
     }
 }
@@ -274,30 +364,23 @@ void MGSolver::restrict_residual(std::size_t fine_level) {
                      "MGSolver: restriction patch does not cover its reads");
 
     // Full weighting: tensor product of [1/4, 1/2, 1/4] over active axes.
-    // A coarse row reads 1, 3 or 9 fine rows (dz outer, then dy); each tap
-    // holds one row's offsets and its weights for dx = -1, 0, 1. Each
+    // A coarse row reads 1, 3 or 9 fine rows (dz outer, then dy). Each
     // coarse point sums w * value in dz, dy, dx order. Interior coarse
     // points never read outside the fine grid, so no per-point domain test
     // is needed.
     auto w1d = [](int off) { return off == 0 ? 0.5 : 0.25; };
     const int zr = (dim >= 3) ? 1 : 0;
     const int yr = (dim >= 2) ? 1 : 0;
-    struct FineRow {
-        int dy, dz;
-        double w[3];
-    };
-    std::array<FineRow, 9> taps{};
-    std::size_t ntaps = 0;
+    FineTaps taps{};
+    int ntaps = 0;
     for (int dz = -zr; dz <= zr; ++dz) {
-        for (int dy = -yr; dy <= yr; ++dy) {
-            FineRow& t = taps[ntaps++];
-            t.dy = dy;
-            t.dz = dz;
+        for (int dy = -yr; dy <= yr; ++dy, ++ntaps) {
+            taps.off[ntaps] = (dz * pb.ym + dy) * pb.xm;
             for (int dx = -1; dx <= 1; ++dx) {
                 double w = w1d(dx);
                 if (dim >= 2) w *= w1d(dy);
                 if (dim >= 3) w *= w1d(dz);
-                t.w[dx + 1] = w;
+                taps.w[ntaps][dx + 1] = w;
             }
         }
     }
@@ -317,21 +400,14 @@ void MGSolver::restrict_residual(std::size_t fine_level) {
             }
             const Index fj = (dim >= 2) ? 2 * J : 0;
             const Index fk = (dim >= 3) ? 2 * K : 0;
-            std::array<const double*, 9> rows{};
-            for (std::size_t r = 0; r < ntaps; ++r) {
-                rows[r] = v + ((fk + taps[r].dz - pb.zs) * pb.ym + (fj + taps[r].dy - pb.ys)) *
-                                  pb.xm;
-            }
+            // The fine center of coarse point lo, in the patch.
+            const double* f = v + ((fk - pb.zs) * pb.ym + (fj - pb.ys)) * pb.xm +
+                              (2 * (co.xs + lo) - pb.xs);
             std::fill(dst, dst + lo, 0.0);
-            for (Index q = lo; q < hi; ++q) {
-                const Index f = 2 * (co.xs + q) - pb.xs;  // patch x of the fine center
-                double acc = 0.0;
-                for (std::size_t r = 0; r < ntaps; ++r) {
-                    acc += taps[r].w[0] * rows[r][f - 1];
-                    acc += taps[r].w[1] * rows[r][f];
-                    acc += taps[r].w[2] * rows[r][f + 1];
-                }
-                dst[q] = acc;
+            switch (ntaps) {
+                case 9: restrict_row<9>(dst + lo, f, taps, hi - lo); break;
+                case 3: restrict_row<3>(dst + lo, f, taps, hi - lo); break;
+                default: restrict_row<1>(dst + lo, f, taps, hi - lo); break;
             }
             std::fill(dst + hi, dst + co.xm, 0.0);
         }
@@ -365,16 +441,13 @@ void MGSolver::prolong_and_correct(std::size_t fine_level) {
     };
 
     double* xd = fine.x.data();
+    const Index ie = fo.xs + fo.xm;
     for (Index k = fo.zs; k < fo.zs + fo.zm; ++k) {
         const Interp iz = (dim >= 3) ? interp1d(k) : Interp{0, 0, 1.0, 0.0};
         for (Index j = fo.ys; j < fo.ys + fo.ym; ++j) {
             const Interp iy = (dim >= 2) ? interp1d(j) : Interp{0, 0, 1.0, 0.0};
-            // The coarse rows this fine row reads (az outer, then ay; zero
-            // weights skipped) and their weights wz*wy*wx for an even
-            // (wx = 1) and an odd (wx = 1/2) fine i.
-            std::array<const double*, 4> rows{};
-            std::array<double, 4> w_even{}, w_odd{};
-            std::size_t nrows = 0;
+            CoarseRows rows{};
+            int nrows = 0;
             for (int az = 0; az < 2; ++az) {
                 const double wz = az == 0 ? iz.w0 : iz.w1;
                 if (wz == 0.0) continue;
@@ -383,38 +456,18 @@ void MGSolver::prolong_and_correct(std::size_t fine_level) {
                     const double wy = ay == 0 ? iy.w0 : iy.w1;
                     if (wy == 0.0) continue;
                     const Index J = ay == 0 ? iy.c0 : iy.c1;
-                    rows[nrows] = v + ((K - pb.zs) * pb.ym + (J - pb.ys)) * pb.xm;
-                    w_even[nrows] = wz * wy;
-                    w_odd[nrows] = wz * wy * 0.5;
+                    rows.off[nrows] = ((K - pb.zs) * pb.ym + (J - pb.ys)) * pb.xm;
+                    rows.w_even[nrows] = wz * wy;
+                    rows.w_odd[nrows] = wz * wy * 0.5;
                     ++nrows;
                 }
             }
             double* dst = xd + ((k - fo.zs) * fo.ym + (j - fo.ys)) * fo.xm;
-            // Fine i = 2c (c in patch x coordinates) reads coarse c; i = 2c+1
-            // reads c and c+1, in that order.
-            auto even = [&](Index i) {
-                const Index c = i / 2 - pb.xs;
-                double acc = 0.0;
-                for (std::size_t r = 0; r < nrows; ++r) acc += w_even[r] * rows[r][c];
-                dst[i - fo.xs] += acc;
-            };
-            auto odd = [&](Index i) {
-                const Index c = (i - 1) / 2 - pb.xs;
-                double acc = 0.0;
-                for (std::size_t r = 0; r < nrows; ++r) {
-                    acc += w_odd[r] * rows[r][c];
-                    acc += w_odd[r] * rows[r][c + 1];
-                }
-                dst[i - fo.xs] += acc;
-            };
-            const Index ie = fo.xs + fo.xm;
-            Index i = fo.xs;
-            if (i < ie && (i & 1) != 0) odd(i++);
-            for (; i + 1 < ie; i += 2) {
-                even(i);
-                odd(i + 1);
+            switch (nrows) {
+                case 4: prolong_row<4>(dst, v, rows, fo.xs, ie, pb.xs); break;
+                case 2: prolong_row<2>(dst, v, rows, fo.xs, ie, pb.xs); break;
+                default: prolong_row<1>(dst, v, rows, fo.xs, ie, pb.xs); break;
             }
-            if (i < ie) even(i);
         }
     }
 }

@@ -6,20 +6,25 @@
 // Per V-cycle and level, with one pass over the grid per stencil step:
 //   - pre-smoothing: damped Jacobi sweeps, each one LaplacianOp::
 //     jacobi_sweep (a DMDA ghost exchange and one stencil pass computing
-//     x + ω(b - A x)/d into the level's r, which then trades storage with
-//     x),
+//     x + ω(b - A x)/d, d the operator's own diagonal, into the level's r,
+//     which then trades storage with x),
 //   - the residual r = b - A x: one LaplacianOp::residual pass,
 //   - residual restriction: full weighting (tensor of [¼ ½ ¼]) through a
-//     PatchGather of the fine residual,
+//     PatchGather of the fine residual, one vectorized row kernel per
+//     coarse row,
 //   - recursion to the coarse level; on the coarsest, a redundant direct
 //     solve (PETSc's PCREDUNDANT): one allgatherv gathers the coarse
 //     right-hand side onto every rank, and each rank solves the whole
 //     coarse system with a banded Cholesky factor built once at setup,
 //   - prolongation: trilinear interpolation through a PatchGather of the
-//     coarse correction,
+//     coarse correction, one vectorized kernel per fine row computing an
+//     even/odd fine pair per coarse column,
 //   - post-smoothing.
 // No full-vector copy is made: the finest level reads the caller's b in
-// place and iterates on the caller's x storage.
+// place and iterates on the caller's x storage, and no stencil pass copies
+// its input's owned box (the ghost exchange fills ghost points only).
+// Each transfer kernel lane keeps the scalar operation order, so the
+// outputs are bit-identical to point-at-a-time loops.
 //
 // Every communication-bearing step (ghost exchange, both patch gathers,
 // the coarse allgatherv) runs through the configured ScatterBackend /
@@ -96,9 +101,9 @@ private:
     struct Level {
         std::shared_ptr<const DMDA> dmda;
         std::unique_ptr<LaplacianOp> op;
-        // Smoother data, absent on the coarsest level (which never smooths):
-        Vec diag;       ///< operator diagonal (Jacobi smoother)
-        std::unique_ptr<JacobiPreconditioner> jacobi;  ///< for Chebyshev
+        // Chebyshev smoother data, absent on the coarsest level (which never
+        // smooths) and for the Jacobi smoother:
+        std::unique_ptr<JacobiPreconditioner> jacobi;
         double lambda_max = 0.0;  ///< power-iteration estimate of D^-1 A
         // Work vectors. Level 0 has no b (it reads the caller's in place)
         // and holds the caller's x only during v_cycle.

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <vector>
 
 #include "petsckit/dmda.hpp"
 
@@ -326,6 +328,145 @@ TEST(Dmda, GhostRequestOutlivesItsDmda) {
         EXPECT_TRUE(req.done());
         EXPECT_EQ(std::memcmp(local.data(), ref.data(), ref.size() * sizeof(double)), 0);
     });
+}
+
+// ghosts_begin fills every ghost point exactly as global_to_local does
+// (unfilled Star corners keep the same poison too); the owned region is
+// not compared, as ghosts_begin leaves it unspecified.
+TEST(Dmda, GhostsBeginFillsEveryGhostPointLikeGlobalToLocal) {
+    for (const Stencil stencil : {Stencil::Star, Stencil::Box}) {
+        for (int sw = 1; sw <= 2; ++sw) {
+            for (int nranks = 1; nranks <= 8; ++nranks) {
+                for (int dim = 2; dim <= 3; ++dim) {
+                    const GridSize g = dim == 3 ? GridSize{16, 15, 14} : GridSize{17, 16, 1};
+                    World w(nranks);
+                    w.run([&](Comm& c) {
+                        const int dof = sw;  // width 2 runs two components per point
+                        DMDA da(c, dim, g, dof, sw, stencil);
+                        Vec v = da.create_global();
+                        fill_dmda_vec(da, v);
+                        auto ref = da.create_local();
+                        auto got = da.create_local();
+                        std::fill(ref.begin(), ref.end(), -777.25);
+                        std::fill(got.begin(), got.end(), -777.25);
+                        da.global_to_local(v, ref);
+                        for (int rep = 0; rep < 2; ++rep) {  // rep 1 replays the plan
+                            coll::CollRequest req = da.ghosts_begin(v, got);
+                            DMDA::global_to_local_end(req);
+                        }
+                        const GridBox& gb = da.ghosted();
+                        for (Index k = gb.zs; k < gb.zs + gb.zm; ++k) {
+                            for (Index j = gb.ys; j < gb.ys + gb.ym; ++j) {
+                                for (Index i = gb.xs; i < gb.xs + gb.xm; ++i) {
+                                    if (da.owns(i, j, k)) continue;
+                                    for (int comp = 0; comp < da.dof(); ++comp) {
+                                        const auto at =
+                                            static_cast<std::size_t>(da.local_index(i, j, k, comp));
+                                        EXPECT_EQ(std::memcmp(&got[at], &ref[at], sizeof(double)),
+                                                  0)
+                                            << "dim=" << dim << " sw=" << sw
+                                            << " nranks=" << nranks << " point (" << i << ","
+                                            << j << "," << k << ")";
+                                    }
+                                }
+                            }
+                        }
+                    });
+                }
+            }
+        }
+    }
+}
+
+// ghosts_begin and global_to_local_begin share the DMDA's one plan, so
+// either one while the other's exchange is in flight throws.
+TEST(Dmda, GhostsBeginIsSingleFlight) {
+    World w(4);
+    w.run([](Comm& c) {
+        DMDA da(c, 2, GridSize{10, 10, 1}, 1, 1, Stencil::Box);
+        Vec v = da.create_global();
+        fill_dmda_vec(da, v);
+        auto first = da.create_local();
+        auto second = da.create_local();
+        coll::CollRequest req = da.ghosts_begin(v, first);
+        EXPECT_THROW(da.ghosts_begin(v, second), nncomm::Error);
+        EXPECT_THROW(da.global_to_local_begin(v, second), nncomm::Error);
+        DMDA::global_to_local_end(req);
+        req = da.global_to_local_begin(v, first);
+        EXPECT_THROW(da.ghosts_begin(v, second), nncomm::Error);
+        DMDA::global_to_local_end(req);
+        req = da.ghosts_begin(v, second);
+        DMDA::global_to_local_end(req);
+    });
+}
+
+// FNV-1a over the bytes of `v`.
+std::uint64_t fnv1a(const std::vector<double>& v) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (double d : v) {
+        unsigned char bytes[sizeof(double)];
+        std::memcpy(bytes, &d, sizeof d);
+        for (unsigned char b : bytes) {
+            h ^= b;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+// The bytes global_to_local and global_to_local_begin/_end write, owned
+// region, ghosts and unfilled slots alike, pinned per case (recorded when
+// the persistent plan still carried the owned box as its self entry): every rank's
+// ghosted array, poisoned first, concatenated in rank order and hashed.
+// Binned runs the persistent plan (twice, so the replay is pinned too),
+// RoundRobin the one-shot exchange.
+TEST(Dmda, GlobalToLocalBitsArePinned) {
+    const struct {
+        int nranks, dim;
+        GridSize g;
+        int dof, sw;
+        Stencil stencil;
+        std::uint64_t hash;
+    } cases[] = {
+        {1, 3, {9, 8, 7}, 1, 1, Stencil::Star, 0x89c0132fbbfe7c23ull},
+        {4, 2, {17, 16, 1}, 2, 2, Stencil::Box, 0x74f214c5df4c8521ull},
+        {6, 3, {16, 15, 14}, 1, 1, Stencil::Star, 0x8cb37e26900f274bull},
+        {8, 3, {16, 15, 14}, 2, 2, Stencil::Box, 0x3b34f7d2ba5472e9ull},
+    };
+    for (const auto& tc : cases) {
+        for (const coll::AlltoallwAlgo algo :
+             {coll::AlltoallwAlgo::Binned, coll::AlltoallwAlgo::RoundRobin}) {
+            for (const bool split : {false, true}) {
+                std::vector<std::vector<double>> locals(static_cast<std::size_t>(tc.nranks));
+                World w(tc.nranks);
+                w.run([&](Comm& c) {
+                    DMDA da(c, tc.dim, tc.g, tc.dof, tc.sw, tc.stencil);
+                    Vec v = da.create_global();
+                    for (Index gi = v.range().begin; gi < v.range().end; ++gi) {
+                        v.at_global(gi) = 0.5 + static_cast<double>((gi * 7919) % 1013) / 1024.0;
+                    }
+                    coll::CollConfig cfg;
+                    cfg.alltoallw_algo = algo;
+                    auto& local = locals[static_cast<std::size_t>(c.rank())];
+                    for (int rep = 0; rep < 2; ++rep) {
+                        local = da.create_local();
+                        std::fill(local.begin(), local.end(), -777.25);
+                        if (split) {
+                            coll::CollRequest req = da.global_to_local_begin(v, local, cfg);
+                            DMDA::global_to_local_end(req);
+                        } else {
+                            da.global_to_local(v, local, cfg);
+                        }
+                    }
+                });
+                std::vector<double> all;
+                for (const auto& l : locals) all.insert(all.end(), l.begin(), l.end());
+                const std::uint64_t got = fnv1a(all);
+                EXPECT_EQ(got, tc.hash) << "nranks=" << tc.nranks << " dim=" << tc.dim
+                                        << " split=" << split << " got 0x" << std::hex << got;
+            }
+        }
+    }
 }
 
 TEST(Dmda, NeighborVolumesAreNonuniformForBoxStencil) {

@@ -97,8 +97,9 @@ struct StencilCase {
 // sum would change the result), and compares bytes with the reference.
 // Then compares the fused passes byte for byte with apply followed by the
 // separate vector operations: residual with waxpy_diff, jacobi_sweep with
-// the update loop x[i] += ω r[i] / d[i]. b and d carry full mantissas too,
-// so any change in the epilogues' operation order shows.
+// the update loop x[i] += ω r[i] / d[i], d from fill_diagonal. b carries
+// full mantissas too, so any change in the epilogues' operation order
+// shows.
 void expect_bit_exact(const StencilCase& tc) {
     World w(tc.nranks);
     w.run([&](Comm& c) {
@@ -110,8 +111,8 @@ void expect_bit_exact(const StencilCase& tc) {
             const auto key = static_cast<std::uint64_t>(gi);
             x.at_global(gi) = full_mantissa(key);
             b.at_global(gi) = full_mantissa(key + 0x10000);
-            d.at_global(gi) = 1.5 + 0.5 * full_mantissa(key + 0x20000);  // in [1, 2)
         }
+        A.fill_diagonal(d);
         Vec y = x.clone_empty();
         for (int rep = 0; rep < 2; ++rep) A.apply(x, y);  // rep 1 reuses the scratch
 
@@ -137,7 +138,7 @@ void expect_bit_exact(const StencilCase& tc) {
         x_before.copy_from(x);
         Vec r = x.clone_empty(), x_out = x.clone_empty();
         A.residual(b, x, r);
-        A.jacobi_sweep(b, d, omega, x, x_out);
+        A.jacobi_sweep(b, omega, x, x_out);
         EXPECT_EQ(std::memcmp(r.data(), r_ref.data(), bytes), 0) << "residual " << where;
         EXPECT_EQ(std::memcmp(x_out.data(), x_ref.data(), bytes), 0) << "sweep " << where;
         EXPECT_EQ(std::memcmp(x.data(), x_before.data(), bytes), 0) << "x written " << where;
@@ -170,7 +171,7 @@ TEST(Laplacian, RowKernelsMatchOnWideBoxGhosts) {
 }
 
 // The fused passes refuse an output of the wrong size, and an output that
-// is x (written while the ghost exchange still reads it), b or d.
+// is x (written while the ghost exchange still reads it) or b.
 TEST(Laplacian, FusedPassesRejectBadOutputs) {
     World w(2);
     w.run([](Comm& c) {
@@ -178,21 +179,19 @@ TEST(Laplacian, FusedPassesRejectBadOutputs) {
         const DMDA small(c, 3, GridSize{5, 5, 5}, 1, 1, Stencil::Star);
         LaplacianOp A(da);
         Vec x = da->create_global();
-        Vec b = x.clone_empty(), d = x.clone_empty(), out = x.clone_empty();
-        d.set_all(1.0);
+        Vec b = x.clone_empty(), out = x.clone_empty();
         Vec wrong = small.create_global();
         EXPECT_THROW(A.residual(b, x, wrong), nncomm::Error);
         EXPECT_THROW(A.residual(b, x, x), nncomm::Error);
         EXPECT_THROW(A.residual(b, x, b), nncomm::Error);
-        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, wrong), nncomm::Error);
-        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, x), nncomm::Error);
-        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, b), nncomm::Error);
-        EXPECT_THROW(A.jacobi_sweep(b, d, 0.5, x, d), nncomm::Error);
+        EXPECT_THROW(A.jacobi_sweep(b, 0.5, x, wrong), nncomm::Error);
+        EXPECT_THROW(A.jacobi_sweep(b, 0.5, x, x), nncomm::Error);
+        EXPECT_THROW(A.jacobi_sweep(b, 0.5, x, b), nncomm::Error);
         EXPECT_THROW(A.apply(x, x), nncomm::Error);
         // Every rejection fires before the ghost exchange begins, so the
         // operator is still usable.
         A.residual(b, x, out);
-        A.jacobi_sweep(b, d, 0.5, x, out);
+        A.jacobi_sweep(b, 0.5, x, out);
     });
 }
 

@@ -235,6 +235,10 @@ const PinCase kPinCases[] = {
     {3, GridSize{17, 17, 9}, 1, 0x9c8c667aa55ec5fcull},
     {3, GridSize{17, 17, 9}, 3, 0xab742c67a4484aa6ull},
     {3, GridSize{17, 17, 9}, 4, 0xfadd8e275ecd9bc8ull},
+    // 33³ on a 1x2x3 process grid (no x neighbour; the middle z ranks have
+    // neighbours on both z faces) and on 2x2x2 (px > 1, fine-box xs = 17).
+    {3, GridSize{33, 33, 33}, 6, 0xca0de0478ea660ddull},
+    {3, GridSize{33, 33, 33}, 8, 0x0a30875dca93e50aull},
 };
 
 // FNV-1a hash of x (global vector order) after two 3-level V-cycles from a
