@@ -156,7 +156,7 @@ struct StatCounters {
     std::uint64_t rt_sparse_exchanges = 0;   ///< sparse_exchange invocations completed
     std::uint64_t rt_sparse_msgs_sent = 0;   ///< remote payload messages sent
     std::uint64_t rt_sparse_msgs_recvd = 0;  ///< remote payload messages received
-    std::uint64_t rt_sparse_probe_polls = 0; ///< consensus-loop iprobe passes
+    std::uint64_t rt_sparse_probe_polls = 0; ///< NBX consensus predicate passes
 
     // Adaptive protocol-selection counters (runtime/protocol.hpp +
     // runtime/comm.cpp). Every Protocol::Auto resolution against a learned

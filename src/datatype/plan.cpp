@@ -1,6 +1,7 @@
 #include "datatype/plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <list>
 #include <mutex>
@@ -14,15 +15,21 @@ namespace nncomm::dt {
 namespace {
 
 std::uint64_t structural_signature(const FlatType& flat) {
-    // FNV-1a over the full flattened structure plus extent/lb. Two types
-    // with equal signatures and equal scalar summaries are treated as
-    // structurally identical by the cache.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    // Word-wise hash of the full flattened structure plus extent/lb: each
+    // 64-bit word goes through a multiply-rotate-multiply step and is
+    // folded into the state, and a final avalanche spreads the last words
+    // over every bit. Every step is a bijection of the word (for a fixed
+    // state) and of the state (for a fixed word), so two block tables of
+    // equal length that differ in a single word never collide.
+    constexpr std::uint64_t k1 = 0x87c37b91114253d5ULL;
+    constexpr std::uint64_t k2 = 0x4cf5ad432745937fULL;
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
+        v *= k1;
+        v = std::rotl(v, 31);
+        v *= k2;
+        h ^= v;
+        h = std::rotl(h, 27) * 5 + 0x52dce729;
     };
     mix(static_cast<std::uint64_t>(flat.extent()));
     mix(static_cast<std::uint64_t>(flat.lb()));
@@ -31,6 +38,11 @@ std::uint64_t structural_signature(const FlatType& flat) {
         mix(static_cast<std::uint64_t>(b.offset));
         mix(b.length);
     }
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
     return h;
 }
 

@@ -101,7 +101,19 @@ public:
     /// registers (feeds the dt_simd_* counters).
     bool vectorized() const { return kernels_.vector; }
 
-    /// 64-bit structural signature of the flattened layout (cache key).
+    /// 64-bit structural signature of the flattened layout: a hash of the
+    /// extent, lb, block count and every block's offset and length, one
+    /// 64-bit word per step. Contract:
+    ///  - structurally equal layouts have equal signatures, in every
+    ///    process and on every run;
+    ///  - two block tables of equal length that differ in one word (one
+    ///    block's offset or length) never share a signature, because each
+    ///    step is a bijection of both the word and the running state;
+    ///  - anything else may collide with probability about 2^-64, so the
+    ///    PlanCache key also carries size, extent and block count, and a
+    ///    colliding entry is replaced, never shared.
+    /// The value is a process-local key, not a stable format: it is not
+    /// persisted or compared across builds.
     std::uint64_t signature() const { return signature_; }
 
     /// Gathers `out.size()` packed-stream bytes starting at stream byte

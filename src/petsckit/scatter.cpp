@@ -1,9 +1,5 @@
 #include "petsckit/scatter.hpp"
 
-#include <algorithm>
-#include <iterator>
-#include <map>
-
 #include "runtime/sparse.hpp"
 
 namespace nncomm::pk {
@@ -11,15 +7,52 @@ namespace nncomm::pk {
 namespace {
 constexpr int kScatterTag = 0x5CA7;  // hand-tuned backend's user-level tag
 
-dt::Datatype offsets_type(const std::vector<Index>& offsets) {
-    std::vector<std::size_t> lens(offsets.size(), 1);
-    std::vector<std::ptrdiff_t> displs(offsets.size());
+// Owner lookup that remembers the last owner's range. Index lists are runs
+// far more often than not, so the binary search in Layout::owner runs only
+// when an index leaves the cached [begin, end).
+class OwnerCursor {
+public:
+    explicit OwnerCursor(const Layout& layout) : layout_(&layout) {}
+    int operator()(Index g) {
+        if (!range_.contains(g)) {
+            owner_ = layout_->owner(g);
+            range_ = layout_->range(owner_);
+        }
+        return owner_;
+    }
+
+private:
+    const Layout* layout_;
+    OwnershipRange range_{};
+    int owner_ = -1;
+};
+
+// Stamps each rank-indexed plan with its rank and keeps the nonempty ones,
+// in ascending rank order.
+template <typename Plan>
+std::vector<Plan> nonempty_peers(std::vector<Plan> by_rank) {
+    for (std::size_t r = 0; r < by_rank.size(); ++r) by_rank[r].rank = static_cast<int>(r);
+    std::erase_if(by_rank, [](const Plan& p) { return p.offsets.empty(); });
+    return by_rank;
+}
+}  // namespace
+
+dt::Datatype offsets_type(std::span<const Index> offsets) {
+    // One hindexed block per run of consecutive offsets: the flattened
+    // layout is the one a block per element would give (FlatBuilder merges
+    // adjacent blocks the same way), only the type tree is smaller.
+    std::vector<std::size_t> lens;
+    std::vector<std::ptrdiff_t> displs;
     for (std::size_t i = 0; i < offsets.size(); ++i) {
-        displs[i] = static_cast<std::ptrdiff_t>(offsets[i]) * 8;
+        if (i > 0 && offsets[i] == offsets[i - 1] + 1) {
+            ++lens.back();
+        } else {
+            displs.push_back(static_cast<std::ptrdiff_t>(offsets[i]) * 8);
+            lens.push_back(1);
+        }
     }
     return dt::Datatype::hindexed(lens, displs, dt::Datatype::float64());
 }
-}  // namespace
 
 VecScatter::VecScatter(rt::Comm& comm, const Layout& src_layout, const IndexSet& is_src,
                        const Layout& dst_layout, const IndexSet& is_dst)
@@ -39,27 +72,25 @@ VecScatter::VecScatter(rt::Comm& comm, const Layout& src_layout, const IndexSet&
     // Every rank walks the full replicated pair list; entries are grouped
     // by peer in k order, so sender and receiver enumerate each pair's
     // elements identically.
-    std::map<int, PeerPlan> send_map, recv_map;
+    const auto nn = static_cast<std::size_t>(n);
+    std::vector<PeerPlan> send_by(nn), recv_by(nn);
+    OwnerCursor src_owner(src_layout), dst_owner(dst_layout);
     for (std::size_t k = 0; k < is_src.size(); ++k) {
         const Index gs = is_src[k];
         const Index gd = is_dst[k];
-        const int so = src_layout.owner(gs);
-        const int dow = dst_layout.owner(gd);
+        const int so = src_owner(gs);
+        const int dow = dst_owner(gd);
         if (so == rank && dow == rank) {
             self_src_.push_back(gs - src_begin);
             self_dst_.push_back(gd - dst_begin);
         } else if (so == rank) {
-            auto& plan = send_map[dow];
-            plan.rank = dow;
-            plan.offsets.push_back(gs - src_begin);
+            send_by[static_cast<std::size_t>(dow)].offsets.push_back(gs - src_begin);
         } else if (dow == rank) {
-            auto& plan = recv_map[so];
-            plan.rank = so;
-            plan.offsets.push_back(gd - dst_begin);
+            recv_by[static_cast<std::size_t>(so)].offsets.push_back(gd - dst_begin);
         }
     }
-    for (auto& [r, plan] : send_map) sends_.push_back(std::move(plan));
-    for (auto& [r, plan] : recv_map) recvs_.push_back(std::move(plan));
+    sends_ = nonempty_peers(std::move(send_by));
+    recvs_ = nonempty_peers(std::move(recv_by));
 
     finalize_plans(n, rank);
 }
@@ -115,44 +146,48 @@ VecScatter VecScatter::gather_sparse(rt::Comm& comm, const Layout& src_layout,
     const Index src_begin = src_layout.range(rank).begin;
 
     // Local pass: split the needed list into owned entries (pure local
-    // moves) and per-owner request lists, both in k order so the receive
-    // plan and the request payload enumerate pairs identically.
-    std::map<int, std::vector<Index>> request_map;
-    std::map<int, PeerPlan> recv_map;
+    // moves) and per-owner receive plans, both in k order; each owner's
+    // request payload is read back off its plan, so the two enumerate
+    // pairs identically.
+    std::vector<PeerPlan> recv_by(static_cast<std::size_t>(n));
+    OwnerCursor owner_of(src_layout);
     for (std::size_t k = 0; k < needed_global.size(); ++k) {
         const Index g = needed_global[k];
-        const int owner = src_layout.owner(g);
+        const int owner = owner_of(g);
         if (owner == rank) {
             vs.self_src_.push_back(g - src_begin);
             vs.self_dst_.push_back(static_cast<Index>(k));
         } else {
-            request_map[owner].push_back(g);
-            auto& plan = recv_map[owner];
-            plan.rank = owner;
-            plan.offsets.push_back(static_cast<Index>(k));
+            recv_by[static_cast<std::size_t>(owner)].offsets.push_back(static_cast<Index>(k));
         }
     }
+    vs.recvs_ = nonempty_peers(std::move(recv_by));
 
     // NBX discovery: each rank tells only its actual source owners what it
     // reads from them; owners learn their reader set from whatever
     // arrives. No dense O(p) count vectors are exchanged — traffic is
     // proportional to the true neighborhood plus the O(log p) consensus.
-    std::vector<std::pair<int, std::vector<Index>>> requests(
-        std::make_move_iterator(request_map.begin()), std::make_move_iterator(request_map.end()));
+    std::vector<std::pair<int, std::vector<Index>>> requests;
+    requests.reserve(vs.recvs_.size());
+    for (const PeerPlan& p : vs.recvs_) {
+        std::vector<Index> globals(p.offsets.size());
+        for (std::size_t i = 0; i < globals.size(); ++i) {
+            globals[i] = needed_global[static_cast<std::size_t>(p.offsets[i])];
+        }
+        requests.emplace_back(p.rank, std::move(globals));
+    }
     auto serves = rt::sparse_exchange_t<Index>(
         comm, std::span<const std::pair<int, std::vector<Index>>>(requests));
+    const OwnershipRange owned = src_layout.range(rank);
     for (auto& [reader, globals] : serves) {
-        PeerPlan plan;
-        plan.rank = reader;
-        plan.offsets.reserve(globals.size());
-        for (const Index g : globals) {
-            NNCOMM_CHECK_MSG(src_layout.owner(g) == rank,
+        for (Index& g : globals) {
+            NNCOMM_CHECK_MSG(owned.contains(g),
                              "gather_sparse: request for an index this rank does not own");
-            plan.offsets.push_back(g - src_begin);
+            g -= src_begin;
         }
-        vs.sends_.push_back(std::move(plan));  // serves is source-sorted
+        // serves is source-sorted, so sends_ is too.
+        vs.sends_.push_back(PeerPlan{reader, std::move(globals)});
     }
-    for (auto& [r, plan] : recv_map) vs.recvs_.push_back(std::move(plan));
 
     vs.finalize_plans(n, rank);
     return vs;

@@ -57,6 +57,13 @@ inline const char* scatter_backend_name(ScatterBackend b) {
     return "?";
 }
 
+/// The per-peer datatype the datatype backends move: a float64 hindexed
+/// over `offsets` (element offsets into a vector's local storage, in send
+/// order). Runs of consecutive offsets become one block each, so the type
+/// tree stays as small as the pattern allows; flat(), plan() and the packed
+/// stream equal those of one block per element.
+dt::Datatype offsets_type(std::span<const Index> offsets);
+
 class ScatterRequest;
 
 class VecScatter {

@@ -1266,7 +1266,7 @@ void Comm::wait_until(const std::function<bool()>& pred) {
     int spins = 0;
     while (!pred()) {
         if (world_->aborted.load(std::memory_order_acquire)) {
-            throw AbortedError("runtime aborted while waiting for a one-sided epoch");
+            throw AbortedError("runtime aborted while waiting in Comm::wait_until");
         }
         if (progress() > 0) continue;
         ++spins;

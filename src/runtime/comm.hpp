@@ -236,7 +236,8 @@ public:
     /// rank's store followed by a pulse_rank(this rank) (or any delivery to
     /// this rank); the timed slice self-heals a suppressed notify. `pred`
     /// is never called under a mailbox lock, so it may itself drive
-    /// communication (coll::CollRequest::wait passes its progress sweep).
+    /// communication (coll::CollRequest::wait passes its progress sweep,
+    /// rt::sparse_exchange its NBX consensus pass).
     void wait_until(const std::function<bool()>& pred);
 
     /// Dissemination barrier over all ranks of this communicator.

@@ -1,7 +1,6 @@
 #include "runtime/sparse.hpp"
 
 #include <algorithm>
-#include <thread>
 
 namespace nncomm::rt {
 
@@ -116,17 +115,16 @@ std::vector<SparseRecv> sparse_exchange(Comm& comm, std::span<const SparseSend> 
         ++local.rt_sparse_msgs_sent;
     }
 
-    // Consensus loop: drain payloads (answering each with an ack), count
-    // acks for our own sends, and once all are in, run the nonblocking
-    // barrier while continuing to drain. A rank with no sends enters the
-    // barrier on its first pass.
+    // Consensus: one predicate pass drains payloads (answering each with
+    // an ack), counts acks for our own sends, and once all are in, starts
+    // the nonblocking barrier and tests it. A rank with no sends enters the
+    // barrier on its first pass. Everything a pass waits for is a delivery
+    // to this rank, which pulses its mailbox, so wait_until may park the
+    // rank between passes (see the header's wait discipline).
     std::size_t acks_got = 0;
     IBarrier barrier;
-    bool done = false;
-    while (!done) {
-        bool progressed = false;
+    comm.wait_until([&] {
         ++local.rt_sparse_probe_polls;
-
         for (;;) {
             ProbeStatus st = comm.iprobe_i(kAnySource, payload_tag);
             if (!st.found) break;
@@ -138,7 +136,6 @@ std::vector<SparseRecv> sparse_exchange(Comm& comm, std::span<const SparseSend> 
             out.push_back(std::move(r));
             comm.send_i(nullptr, 0, byte, st.source, ack_tag, Protocol::Eager);
             ++local.rt_sparse_msgs_recvd;
-            progressed = true;
         }
 
         while (acks_got < acks_needed) {
@@ -146,24 +143,18 @@ std::vector<SparseRecv> sparse_exchange(Comm& comm, std::span<const SparseSend> 
             if (!st.found) break;
             comm.recv_i(nullptr, 0, byte, st.source, ack_tag);
             ++acks_got;
-            progressed = true;
         }
 
         if (!barrier.started()) {
-            if (acks_got == acks_needed) {
-                // Every payload we injected has been consumed remotely, so
-                // the send requests are already deliverable: this waitall
-                // only retires local bookkeeping and cannot block on a peer.
-                comm.waitall(sreqs);
-                barrier = IBarrier(comm);
-                progressed = true;
-            }
-        } else if (barrier.test()) {
-            done = true;
+            if (acks_got < acks_needed) return false;
+            // Every payload we injected has been consumed remotely, so the
+            // send requests are already deliverable: this waitall only
+            // retires local bookkeeping and cannot block on a peer.
+            comm.waitall(sreqs);
+            barrier = IBarrier(comm);
         }
-
-        if (!progressed && !done) std::this_thread::yield();
-    }
+        return barrier.test();
+    });
 
     // Deterministic result order regardless of arrival interleaving.
     std::sort(out.begin(), out.end(),

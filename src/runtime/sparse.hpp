@@ -12,7 +12,7 @@
 // consensus:
 //
 //   1. Each rank fires nonblocking eager sends of its payloads to its
-//      out-neighbors and enters a probe loop.
+//      out-neighbors and enters the consensus wait.
 //   2. Any arriving payload (wildcard-source probe on the exchange's tag
 //      lane) is received and immediately answered with a zero-byte ack —
 //      the explicit-acknowledgement NBX variant, standing in for MPI_Issend
@@ -24,6 +24,17 @@
 //   4. When the barrier completes, every rank's sends have been acked, so
 //      no payload can still be in flight anywhere: the exchange is over.
 //
+// Wait discipline: steps 2-4 are one predicate pass — drain every queued
+// payload and ack, start the barrier once all acks are in, test it — and
+// the whole consensus is a single Comm::wait_until on that predicate. Every
+// event a pass can wait for is a message to this rank, and every delivery
+// pulses the rank's mailbox, so wait_until's spin / yield / park discipline
+// (the one fences and schedules use) applies unchanged: a rank held up by
+// a late peer spins for a few checks, then sleeps on its mailbox condition
+// variable until the next delivery (or the timed slice) instead of
+// yield-spinning. rt_sparse_probe_polls counts predicate passes, so it
+// measures how often a rank looked, not how long it spun.
+//
 // Tags are epoch-folded on the internal collective context, so
 // back-to-back exchanges (a rank can exit the consensus while a peer is
 // still finishing its last barrier round) can never alias. The primitive
@@ -32,8 +43,8 @@
 // O(log p) consensus.
 //
 // Consumers: VecScatter::gather_sparse (sparse-neighborhood scatter-plan
-// discovery), off-process MatAIJ assembly (remote-triplet flush), DMDA's
-// sparse ghost path — and the netsim mirror
+// discovery), off-process MatAIJ assembly (remote-triplet flush) — and the
+// netsim mirror
 // (ProgramBuilder::add_sparse_exchange) that lets the setup-cost bench
 // sweep 10k+ simulated ranks.
 #pragma once

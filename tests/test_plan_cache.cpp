@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "core/rng.hpp"
 #include "datatype/plan.hpp"
 #include "petsckit/scatter.hpp"
 
@@ -109,6 +110,41 @@ TEST(PlanClassification, TailShapeHashesDistinctFromUniform) {
     auto st = cache.stats();
     EXPECT_EQ(st.misses, 2u);  // two distinct compiles, no false sharing
     EXPECT_EQ(st.hits, 0u);
+}
+
+TEST(PlanClassification, SignatureSeparatesSingleBlockChanges) {
+    // The signature contract (plan.hpp): block tables of equal length that
+    // differ in one block's offset or length never share a signature. 10^5
+    // random pairs, each differing in exactly one word.
+    Rng rng(0x519);
+    for (int pair = 0; pair < 100000; ++pair) {
+        const auto nblocks = static_cast<std::size_t>(rng.uniform_i64(1, 16));
+        std::vector<dt::FlatBlock> blocks(nblocks);
+        std::ptrdiff_t at = rng.uniform_i64(0, 64);
+        for (dt::FlatBlock& b : blocks) {
+            b.offset = at;
+            b.length = static_cast<std::size_t>(rng.uniform_i64(1, 256));
+            at += static_cast<std::ptrdiff_t>(b.length) + rng.uniform_i64(1, 128);
+        }
+        std::vector<dt::FlatBlock> changed = blocks;
+        dt::FlatBlock& b = changed[static_cast<std::size_t>(
+            rng.uniform_u64(0, nblocks - 1))];
+        const auto delta = rng.uniform_i64(1, 1 << 20);
+        if (rng.bernoulli(0.5)) {
+            b.offset += rng.bernoulli(0.5) ? delta : -delta;
+        } else {
+            b.length += static_cast<std::size_t>(delta);
+        }
+        const dt::FlatType x(blocks, at, 0);
+        const dt::FlatType y(changed, at, 0);
+        ASSERT_NE(dt::PackPlan::compile(x).signature(), dt::PackPlan::compile(y).signature())
+            << "pair " << pair;
+        if (pair % 1000 == 0) {
+            // Equal tables hash equal.
+            EXPECT_EQ(dt::PackPlan::compile(x).signature(),
+                      dt::PackPlan::compile(dt::FlatType(blocks, at, 0)).signature());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
+#include "core/rng.hpp"
+#include "datatype/plan.hpp"
 #include "petsckit/scatter.hpp"
 
 namespace {
@@ -278,6 +281,85 @@ TEST(GatherSparse, MatchesReplicatedPlan) {
             }
         }
     });
+}
+
+// offsets_type coalesces runs of consecutive offsets into one hindexed
+// block each. The flattened layout, compiled plan and packed stream must be
+// exactly those of the one-block-per-element type it replaces, for every
+// shape a need list takes: contiguous runs, strides 2-4, gaps 1-9,
+// repeated and descending offsets, runs that abut across segments, a
+// single offset and the empty list.
+TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
+    auto per_element = [](const std::vector<Index>& offsets) {
+        std::vector<std::size_t> lens(offsets.size(), 1);
+        std::vector<std::ptrdiff_t> displs(offsets.size());
+        for (std::size_t i = 0; i < offsets.size(); ++i) {
+            displs[i] = static_cast<std::ptrdiff_t>(offsets[i]) * 8;
+        }
+        return dt::Datatype::hindexed(lens, displs, dt::Datatype::float64());
+    };
+    auto pack = [](const dt::Datatype& t, const std::vector<double>& src) {
+        std::vector<std::byte> out(t.size());
+        if (!out.empty()) {
+            t.plan().pack(t.flat(), reinterpret_cast<const std::byte*>(src.data()), 1, out);
+        }
+        return out;
+    };
+
+    std::vector<std::vector<Index>> cases = {{}, {0}, {17}, {5, 5}, {3, 2, 1, 0}};
+    Rng rng(0x5ca77e5);
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::vector<Index> offs;
+        const auto segments = rng.uniform_i64(1, 6);
+        for (std::int64_t seg = 0; seg < segments; ++seg) {
+            // Start fresh or right after the previous segment's last offset,
+            // so runs also meet across segment boundaries.
+            Index at = offs.empty() || rng.bernoulli(0.5) ? rng.uniform_i64(0, 4096)
+                                                          : offs.back() + 1;
+            const auto len = rng.uniform_i64(1, 64);
+            const auto kind = rng.uniform_u64(0, 4);
+            const Index stride = rng.uniform_i64(2, 4);
+            for (std::int64_t l = 0; l < len; ++l) {
+                offs.push_back(at);
+                switch (kind) {
+                    case 0: at += 1; break;                        // contiguous
+                    case 1: at += stride; break;                   // strided
+                    case 2: at += rng.uniform_i64(1, 9); break;    // gaps
+                    case 3: at += rng.bernoulli(0.5) ? 0 : 1; break;  // repeats
+                    default: at = std::max<Index>(0, at - rng.uniform_i64(1, 2)); break;
+                }
+            }
+        }
+        cases.push_back(std::move(offs));
+    }
+
+    for (const std::vector<Index>& offs : cases) {
+        const dt::Datatype coalesced = pk::offsets_type(offs);
+        const dt::Datatype reference = per_element(offs);
+        const auto& cb = coalesced.flat().blocks();
+        const auto& rb = reference.flat().blocks();
+        ASSERT_EQ(cb.size(), rb.size());
+        for (std::size_t i = 0; i < cb.size(); ++i) {
+            EXPECT_EQ(cb[i].offset, rb[i].offset) << "block " << i;
+            EXPECT_EQ(cb[i].length, rb[i].length) << "block " << i;
+        }
+        EXPECT_EQ(coalesced.block_count(), reference.block_count());
+        EXPECT_EQ(coalesced.size(), reference.size());
+        EXPECT_EQ(coalesced.extent(), reference.extent());
+        EXPECT_EQ(coalesced.lb(), reference.lb());
+        EXPECT_EQ(coalesced.plan().signature(), reference.plan().signature());
+        EXPECT_EQ(coalesced.plan().kernel(), reference.plan().kernel());
+
+        Index hi = 0;
+        for (const Index o : offs) hi = std::max(hi, o + 1);
+        std::vector<double> src(static_cast<std::size_t>(hi));
+        std::iota(src.begin(), src.end(), 0.5);
+        const std::vector<std::byte> a = pack(coalesced, src);
+        const std::vector<std::byte> b = pack(reference, src);
+        ASSERT_EQ(a.size(), offs.size() * 8);
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_TRUE(a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+    }
 }
 
 TEST(GatherSparse, EmptyNeedsOnSomeRanks) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -69,6 +70,41 @@ std::vector<std::byte> pattern_payload(std::uint64_t seed, int src, int dst) {
     return v;
 }
 
+// The messages `rank` sends under `seed`, with their payloads kept alive in
+// `stash` for the duration of the exchange.
+std::vector<SparseSend> pattern_sends(std::uint64_t seed, int n, int rank,
+                                      std::vector<std::vector<std::byte>>& stash) {
+    stash.clear();
+    stash.reserve(static_cast<std::size_t>(n));
+    std::vector<SparseSend> sends;
+    for (int dst = 0; dst < n; ++dst) {
+        if (!pattern_has(seed, rank, dst)) continue;
+        stash.push_back(pattern_payload(seed, rank, dst));
+        sends.push_back({dst, stash.back()});
+    }
+    return sends;
+}
+
+// Oracle: `rank` must receive from every src with pattern_has(seed, src,
+// rank), in ascending source order, with the seeded payload bytes.
+void expect_matches_oracle(std::uint64_t seed, int n, int rank, int round,
+                           const std::vector<SparseRecv>& got) {
+    std::size_t k = 0;
+    for (int src = 0; src < n; ++src) {
+        if (!pattern_has(seed, src, rank)) continue;
+        ASSERT_LT(k, got.size()) << "rank " << rank << " round " << round
+                                 << ": missing message from " << src;
+        EXPECT_EQ(got[k].source, src);
+        const std::vector<std::byte> want = pattern_payload(seed, src, rank);
+        ASSERT_EQ(got[k].bytes.size(), want.size()) << "rank " << rank << " src " << src;
+        EXPECT_EQ(std::memcmp(got[k].bytes.data(), want.data(), want.size()), 0)
+            << "rank " << rank << " src " << src << " round " << round;
+        ++k;
+    }
+    EXPECT_EQ(k, got.size()) << "rank " << rank << " round " << round
+                             << ": unexpected extra messages";
+}
+
 // Runs `rounds` back-to-back exchanges of the seeded pattern on `n` ranks
 // and checks every rank's result against the locally computed oracle.
 // Varying the seed per round exercises tag-epoch separation: a rank may
@@ -85,31 +121,9 @@ void run_pattern(int n, std::uint64_t seed, int rounds, SchedulePolicy policy,
         const int rank = c.rank();
         for (int round = 0; round < rounds; ++round) {
             const std::uint64_t s = seed + static_cast<std::uint64_t>(round) * 1000003;
-            std::vector<std::vector<std::byte>> stash;  // keep spans alive
-            std::vector<SparseSend> sends;
-            for (int dst = 0; dst < n; ++dst) {
-                if (!pattern_has(s, rank, dst)) continue;
-                stash.push_back(pattern_payload(s, rank, dst));
-                sends.push_back({dst, stash.back()});
-            }
-            std::vector<SparseRecv> got = rt::sparse_exchange(c, sends);
-
-            // Oracle: every src with pattern_has(s, src, rank), ascending.
-            std::size_t k = 0;
-            for (int src = 0; src < n; ++src) {
-                if (!pattern_has(s, src, rank)) continue;
-                ASSERT_LT(k, got.size()) << "rank " << rank << " round " << round
-                                         << ": missing message from " << src;
-                EXPECT_EQ(got[k].source, src);
-                const std::vector<std::byte> want = pattern_payload(s, src, rank);
-                ASSERT_EQ(got[k].bytes.size(), want.size())
-                    << "rank " << rank << " src " << src;
-                EXPECT_EQ(std::memcmp(got[k].bytes.data(), want.data(), want.size()), 0)
-                    << "rank " << rank << " src " << src << " round " << round;
-                ++k;
-            }
-            EXPECT_EQ(k, got.size()) << "rank " << rank << " round " << round
-                                     << ": unexpected extra messages";
+            std::vector<std::vector<std::byte>> stash;
+            const std::vector<SparseSend> sends = pattern_sends(s, n, rank, stash);
+            expect_matches_oracle(s, n, rank, round, rt::sparse_exchange(c, sends));
         }
         const StatCounters& st = c.counters();
         exchanges += st.rt_sparse_exchanges;
@@ -301,6 +315,37 @@ TEST(SparseExchange, TypedWrapperRoundTrips) {
         ASSERT_EQ(got[0].second.size(), 2u);
         EXPECT_EQ(got[0].second[0], src);
         EXPECT_EQ(got[0].second[1], src * 10);
+    });
+}
+
+TEST(SparseExchange, ConsensusParksWhileAPeerIsLate) {
+    // The consensus waits on Comm::wait_until, so ranks held up by a late
+    // peer park on their mailbox condition variable instead of spinning:
+    // each of them records at least one registered sleep while rank 3
+    // idles, and the late entry changes nothing in the result.
+    constexpr int kN = 4;
+    constexpr std::uint64_t kSeed = 42;
+    World w(kN);
+    std::atomic<int> entering{0};
+    w.run([&](Comm& c) {
+        const int rank = c.rank();
+        std::vector<std::vector<std::byte>> stash;
+        const std::vector<SparseSend> sends = pattern_sends(kSeed, kN, rank, stash);
+        if (rank == kN - 1) {
+            // Late only once the others are on their way in, so the sleep
+            // below is time they all spend inside the exchange.
+            while (entering.load() < kN - 1) std::this_thread::yield();
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        } else {
+            ++entering;
+        }
+        const std::uint64_t parks_before = c.counters().rt_cv_waits;
+        const std::vector<SparseRecv> got = rt::sparse_exchange(c, sends);
+        const std::uint64_t parks = c.counters().rt_cv_waits - parks_before;
+        expect_matches_oracle(kSeed, kN, rank, 0, got);
+        if (rank != kN - 1) {
+            EXPECT_GE(parks, 1u) << "rank " << rank << " never parked";
+        }
     });
 }
 
