@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/adaptive_shapes.hpp"
 #include "bench/common.hpp"
 #include "netsim/sim.hpp"
 #include "runtime/comm.hpp"
@@ -127,30 +126,6 @@ int main(int argc, char** argv) {
                 best_thr == kNever ? "never" : std::to_string(best_thr).c_str(),
                 static_cast<unsigned long long>(rt::kDefaultRendezvousThreshold));
 
-    // Per-shape static optimum over the shared adaptive_shapes sweep —
-    // this is the number bench_adaptive gates its learned thresholds
-    // against ("converged within one size class of the ablation's
-    // optimum"), so it goes into the JSON report rather than only the
-    // human-readable table.
-    std::printf("\nper-shape optimal static threshold (shared adaptive_shapes sweep)\n\n");
-    std::size_t nshapes = 0;
-    const adaptive_shapes::Shape* shapes = adaptive_shapes::shapes(&nshapes);
-    struct ShapeOpt {
-        const char* name;
-        std::size_t threshold;
-        double makespan_us;
-    };
-    std::vector<ShapeOpt> shape_opts;
-    benchutil::Table shape_tab({"Shape", "Best threshold", "Makespan (us)"});
-    for (std::size_t i = 0; i < nshapes; ++i) {
-        double mk = 0.0;
-        const std::size_t thr = adaptive_shapes::best_static_threshold(shapes[i], &mk);
-        shape_opts.push_back({shapes[i].name, thr, mk});
-        shape_tab.add_row({shapes[i].name, adaptive_shapes::threshold_name(thr),
-                           benchutil::fmt(mk, 1)});
-    }
-    shape_tab.print();
-
     if (!smoke) {
         std::printf(
             "\nreal runtime: pre-posted pingpong, always-eager vs always-rendezvous\n\n");
@@ -172,17 +147,7 @@ int main(int argc, char** argv) {
         std::fprintf(f, "{\n  \"bench\": \"ablation_rendezvous\",\n");
         std::fprintf(f, "  \"mix_best_threshold\": %llu,\n",
                      static_cast<unsigned long long>(best_thr == kNever ? 0 : best_thr));
-        std::fprintf(f, "  \"mix_best_makespan_us\": %.1f,\n", best);
-        std::fprintf(f, "  \"per_shape_optimal\": [\n");
-        for (std::size_t i = 0; i < shape_opts.size(); ++i) {
-            std::fprintf(
-                f, "    { \"shape\": \"%s\", \"threshold\": %llu, \"makespan_us\": %.1f }%s\n",
-                shape_opts[i].name,
-                static_cast<unsigned long long>(
-                    shape_opts[i].threshold == kNever ? 0 : shape_opts[i].threshold),
-                shape_opts[i].makespan_us, i + 1 < shape_opts.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
+        std::fprintf(f, "  \"mix_best_makespan_us\": %.1f\n}\n", best);
         std::fclose(f);
         std::printf("\nwrote BENCH_ablation_rendezvous.json\n");
     }

@@ -158,20 +158,11 @@ struct StatCounters {
     std::uint64_t rt_sparse_msgs_recvd = 0;  ///< remote payload messages received
     std::uint64_t rt_sparse_probe_polls = 0; ///< NBX consensus predicate passes
 
-    // Adaptive protocol-selection counters (runtime/protocol.hpp +
-    // runtime/comm.cpp). Every Protocol::Auto resolution against a learned
-    // (or fallback static) threshold tallies which path it chose; the
-    // threshold water marks record the range of effective thresholds the
-    // resolver actually used, so a bench can attest adaptation moved the
-    // crossover rather than sitting on the default.
-    std::uint64_t rt_proto_adapt_updates = 0;  ///< cost-model observations recorded
+    // Protocol-selection counters (runtime/comm.cpp). Every Protocol::Auto
+    // resolution against the communicator's rendezvous threshold tallies
+    // which path it chose.
     std::uint64_t rt_proto_eager_chosen = 0;   ///< Auto resolutions that picked eager
     std::uint64_t rt_proto_rdzv_chosen = 0;    ///< Auto resolutions that picked rendezvous
-    /// High/low water marks of the effective rendezvous threshold (bytes)
-    /// used by Auto resolutions. _hi composes by max, _lo by min over
-    /// nonzero values (0 = never observed).
-    std::uint64_t rt_proto_threshold_bytes_hi = 0;
-    std::uint64_t rt_proto_threshold_bytes_lo = 0;
 
     // One-sided RMA counters (runtime/win.cpp + coll/persistent.cpp). Puts
     // and gets are window transfers (a fused pack straight into the target
@@ -231,17 +222,8 @@ struct StatCounters {
         if (o.rt_pool_resident_bytes > rt_pool_resident_bytes) {
             rt_pool_resident_bytes = o.rt_pool_resident_bytes;
         }
-        rt_proto_adapt_updates += o.rt_proto_adapt_updates;
         rt_proto_eager_chosen += o.rt_proto_eager_chosen;
         rt_proto_rdzv_chosen += o.rt_proto_rdzv_chosen;
-        if (o.rt_proto_threshold_bytes_hi > rt_proto_threshold_bytes_hi) {
-            rt_proto_threshold_bytes_hi = o.rt_proto_threshold_bytes_hi;
-        }
-        if (o.rt_proto_threshold_bytes_lo != 0 &&
-            (rt_proto_threshold_bytes_lo == 0 ||
-             o.rt_proto_threshold_bytes_lo < rt_proto_threshold_bytes_lo)) {
-            rt_proto_threshold_bytes_lo = o.rt_proto_threshold_bytes_lo;
-        }
         rt_rma_puts += o.rt_rma_puts;
         rt_rma_put_bytes += o.rt_rma_put_bytes;
         rt_rma_fences += o.rt_rma_fences;

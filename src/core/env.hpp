@@ -1,5 +1,5 @@
 // Environment-variable parsing shared by the runtime escape hatches
-// (NNCOMM_SIMD, NNCOMM_ADAPTIVE, NNCOMM_RMA).
+// (NNCOMM_SIMD, NNCOMM_RMA).
 #pragma once
 
 namespace nncomm {

@@ -43,15 +43,6 @@ struct Transit {
     bool rendezvous = false;
 };
 
-/// Per-(src, dst) online cost model, same three-line structure as
-/// rt::ProtoTable but fed from the simulator's analytic costs — the sim
-/// knows both protocols' prices for every send, so all lines learn at once.
-struct PairEstimate {
-    rt::EwLine eager_send;
-    rt::EwLine eager_unpack;
-    rt::EwLine rdzv;
-};
-
 }  // namespace
 
 SimResult Simulator::run(const std::vector<RankProgram>& programs) const {
@@ -62,8 +53,7 @@ SimResult Simulator::run(const std::vector<RankProgram>& programs) const {
     std::vector<RankState> ranks(static_cast<std::size_t>(n));
     std::unordered_map<std::uint64_t, std::deque<Transit>> in_flight;  // FIFO per key
     in_flight.reserve(1024);
-    std::unordered_map<std::uint64_t, PairEstimate> estimates;  // adaptive only
-    std::unordered_map<std::uint64_t, FenceState> fences;       // epoch index -> state
+    std::unordered_map<std::uint64_t, FenceState> fences;  // epoch index -> state
     std::vector<std::uint64_t> next_fence(static_cast<std::size_t>(n), 0);
     std::vector<char> fence_entered(static_cast<std::size_t>(n), 0);
     SimResult result;
@@ -89,35 +79,8 @@ SimResult Simulator::run(const std::vector<RankProgram>& programs) const {
                     // Sender occupied for overhead + serialization; message
                     // arrives one wire latency after it leaves the NIC.
                     // Protocol split: the runtime's rt::rendezvous_eligible.
-                    std::size_t threshold = config_.rendezvous_threshold;
-                    if (config_.adaptive_protocol && op.bytes > 0) {
-                        // Consult the learned crossover first (decision),
-                        // then feed this send's analytic costs into both
-                        // protocol lines (observation) — same order as the
-                        // real runtime, so the first min_samples sends ride
-                        // the static threshold.
-                        PairEstimate& est =
-                            estimates[pair_key(r, op.peer, /*tag=*/0)];
-                        threshold = rt::crossover_bytes(
-                            est.eager_send.fit(), est.eager_unpack.fit(), est.rdzv.fit(),
-                            config_.adaptive_min_samples, config_.adaptive_min_threshold,
-                            config_.adaptive_max_threshold, threshold);
-                        result.threshold_bytes_last = threshold;
-                        if (threshold > result.threshold_bytes_hi) {
-                            result.threshold_bytes_hi = threshold;
-                        }
-                        if (result.threshold_bytes_lo == 0 ||
-                            threshold < result.threshold_bytes_lo) {
-                            result.threshold_bytes_lo = threshold;
-                        }
-                        const double b = static_cast<double>(op.bytes);
-                        est.eager_send.observe(b, b * config_.copy_us_per_byte);
-                        est.eager_unpack.observe(b, b * config_.copy_us_per_byte);
-                        est.rdzv.observe(b, config_.rendezvous_handshake_us +
-                                                b * config_.copy_us_per_byte);
-                        ++result.adaptive_updates;
-                    }
-                    const bool rdv = rt::rendezvous_eligible(op.bytes, threshold);
+                    const bool rdv =
+                        rt::rendezvous_eligible(op.bytes, config_.rendezvous_threshold);
                     double occupied = config_.overhead_us / speed +
                                       static_cast<double>(op.bytes) * config_.us_per_byte;
                     if (rdv) {

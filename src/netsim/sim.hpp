@@ -59,14 +59,6 @@ struct SimResult {
     std::uint64_t puts = 0;
     std::uint64_t put_bytes = 0;
     std::uint64_t fences = 0;  ///< collective fence epochs completed
-
-    // Adaptive protocol selection (config.adaptive_protocol): observation
-    // count plus the smallest / largest / last effective threshold any
-    // send consulted — zero when adaptation is off.
-    std::uint64_t adaptive_updates = 0;
-    std::uint64_t threshold_bytes_lo = 0;
-    std::uint64_t threshold_bytes_hi = 0;
-    std::uint64_t threshold_bytes_last = 0;
 };
 
 class Simulator {

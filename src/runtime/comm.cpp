@@ -12,6 +12,10 @@
 #include <thread>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "datatype/pack.hpp"
@@ -389,14 +393,6 @@ struct WorldState {
 
     PayloadPool pool;  ///< recycled buffered-eager payload buffers
 
-    /// Per-(src, dst)-pair protocol cost models (protocol.hpp). Lines are
-    /// single-writer (sender thread feeds eager_send/rdzv, receiver thread
-    /// feeds eager_unpack), fits are read lock-free from the send path.
-    std::unique_ptr<ProtoTable> proto;
-    /// When enabled, replaces measured durations with the analytic model
-    /// (set before run(), read-only during one).
-    SyntheticProtoCosts synthetic;
-
     // Delivery engine state, sharded per destination.
     std::vector<std::unique_ptr<DestQueue>> destq;
     std::atomic<std::uint64_t> inflight_count{0};
@@ -600,39 +596,7 @@ constexpr auto kSleepSlice = std::chrono::microseconds(200);
 /// always timed — their chunks amortize the clock.
 constexpr std::size_t kTimedCopyMinBytes = 4096;
 
-/// Messages below this size never feed the protocol cost model: the two
-/// clock reads would outweigh the copy being measured, and the learned
-/// threshold is clamped above this anyway (ProtoTable::kMinThreshold).
-constexpr std::size_t kAdaptiveObserveMinBytes = 1024;
-
-/// One cost-model observation in nanoseconds: the measured duration, or the
-/// analytic value when the world runs synthetic protocol costs.
-double observed_ns(const WorldState& world, double base_ns, double per_byte_ns,
-                   std::size_t bytes, std::chrono::steady_clock::time_point t0) {
-    if (world.synthetic.enabled) {
-        return base_ns + per_byte_ns * static_cast<double>(bytes);
-    }
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                             t0)
-            .count());
-}
-
 }  // namespace
-
-std::size_t Comm::effective_rendezvous_threshold(int dest, const dt::Datatype& type) {
-    std::size_t thr = rendezvous_threshold_;
-    if (adaptive_protocol_engaged()) {
-        thr = world_->proto->learned_threshold(rank_, dest, family_of(type),
-                                               rendezvous_threshold_);
-    }
-    if (thr > counters_.rt_proto_threshold_bytes_hi) counters_.rt_proto_threshold_bytes_hi = thr;
-    if (counters_.rt_proto_threshold_bytes_lo == 0 ||
-        thr < counters_.rt_proto_threshold_bytes_lo) {
-        counters_.rt_proto_threshold_bytes_lo = thr;
-    }
-    return thr;
-}
 
 int Comm::size() const { return world_->nranks; }
 
@@ -795,7 +759,7 @@ Request Comm::irecv(void* buf, std::size_t count, const dt::Datatype& type, int 
 /// The payload buffer comes from this rank's pool cache; zero-byte messages
 /// never touch the pool or the allocator at all.
 Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datatype& type,
-                             int dest, int tag, int context, std::size_t total) {
+                             int tag, int context, std::size_t total) {
     NNCOMM_CHECK(type.valid());
     Envelope env;
     env.source = rank_;
@@ -803,13 +767,6 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
     env.context = context;
 
     if (total == 0) return env;  // header-only: zero-byte sends are pure synchronization
-
-    // Feed the eager_send cost line: the staging copy below is exactly the
-    // sender-side cost the eager protocol pays that rendezvous avoids.
-    const bool observe =
-        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-    std::chrono::steady_clock::time_point t0;
-    if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
 
     env.payload = world_->pool.acquire(total, rank_, counters_);
     counters_.rt_bytes_copied += total;  // sender-side staging copy
@@ -850,13 +807,6 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
         timers_ += engine->timers();
         counters_ += engine->counters();
     }
-    if (observe) {
-        const auto& syn = world_->synthetic;
-        world_->proto->observe_eager_send(
-            rank_, dest, family_of(type), static_cast<double>(total),
-            observed_ns(*world_, syn.eager_send_base_ns, syn.eager_send_per_byte_ns, total, t0));
-        ++counters_.rt_proto_adapt_updates;
-    }
     return env;
 }
 
@@ -885,10 +835,7 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     // not a protocol decision, so it is not counted as one.
     if (total == 0) return false;
     if (proto == Protocol::Auto) {
-        // Auto resolution: the effective threshold is the learned per-pair
-        // crossover when adaptation is engaged and confident, the static
-        // communicator threshold otherwise.
-        if (!rendezvous_eligible(total, effective_rendezvous_threshold(dest, type))) {
+        if (!rendezvous_eligible(total, rendezvous_threshold_)) {
             ++counters_.rt_proto_eager_chosen;
             return false;
         }
@@ -913,13 +860,6 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     if (!r) return false;  // unposted: degrade to buffered eager
     const auto& rflat = r->type.flat();
     NNCOMM_CHECK_MSG(total <= rflat.size() * r->count, "message longer than receive buffer");
-
-    // Feed the rdzv cost line: the single direct pass below is the whole
-    // marginal cost the rendezvous protocol pays once the claim succeeded.
-    const bool observe =
-        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-    std::chrono::steady_clock::time_point t0;
-    if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
 
     // The copy runs while posted_mu pins the request: the receiver's wait()
     // cannot observe a half-written buffer (matched is still false), an
@@ -1014,14 +954,6 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
         counters_ += engine->counters();
     }
 
-    if (observe) {
-        const auto& syn = world_->synthetic;
-        world_->proto->observe_rdzv(
-            rank_, dest, family_of(type), static_cast<double>(total),
-            observed_ns(*world_, syn.rdzv_base_ns, syn.rdzv_per_byte_ns, total, t0));
-        ++counters_.rt_proto_adapt_updates;
-    }
-
     r->env = std::move(header);  // header only: carries source/tag for RecvStatus
     r->direct_bytes = total;
     r->zero_copy = true;
@@ -1046,7 +978,7 @@ void Comm::send_ctx(const void* buf, std::size_t count, const dt::Datatype& type
         // and push straight onto the destination lane, no request state.
         const std::size_t total = type.size() * count;
         if (try_rendezvous(buf, count, type, dest, tag, context, proto, total)) return;
-        Envelope env = pack_envelope(buf, count, type, dest, tag, context, total);
+        Envelope env = pack_envelope(buf, count, type, tag, context, total);
         detail::deliver_lane(*world_, dest, std::move(env), counters_);
         return;
     }
@@ -1064,12 +996,12 @@ Request Comm::isend_ctx(const void* buf, std::size_t count, const dt::Datatype& 
         // so the request is born complete and the shared singleton serves.
         const std::size_t total = type.size() * count;
         if (!try_rendezvous(buf, count, type, dest, tag, context, proto, total)) {
-            Envelope env = pack_envelope(buf, count, type, dest, tag, context, total);
+            Envelope env = pack_envelope(buf, count, type, tag, context, total);
             detail::deliver_lane(*world_, dest, std::move(env), counters_);
         }
         return Request(world_->done_send);
     }
-    Envelope env = pack_envelope(buf, count, type, dest, tag, context, type.size() * count);
+    Envelope env = pack_envelope(buf, count, type, tag, context, type.size() * count);
     auto req = std::make_shared<RequestState>();
     req->kind = RequestState::Kind::Send;
     req->owner_rank = rank_;
@@ -1309,14 +1241,6 @@ RecvStatus Comm::finish_recv(RequestState& req) {
     NNCOMM_CHECK_MSG(req.env.payload.size() <= capacity, "message longer than receive buffer");
     if (!req.env.payload.empty()) {
         counters_.rt_bytes_copied += req.env.payload.size();  // receive-side copy
-        // Feed the eager_unpack cost line: the copy below is the
-        // receiver-side half of the eager protocol's double copy. This
-        // rank's thread is the line's single writer.
-        const std::size_t total = req.env.payload.size();
-        const bool observe =
-            total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-        std::chrono::steady_clock::time_point t0;
-        if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
         if (flat.contiguous() && static_cast<std::ptrdiff_t>(flat.size()) == flat.extent()) {
             if (req.env.payload.size() >= kTimedCopyMinBytes) {
                 PhaseScope scope(timers_, Phase::Comm);
@@ -1341,14 +1265,6 @@ RecvStatus Comm::finish_recv(RequestState& req) {
                     dt::unpack_bytes(static_cast<std::byte*>(req.buf), cur, payload);
                 NNCOMM_CHECK(n == req.env.payload.size());
             }
-        }
-        if (observe) {
-            const auto& syn = world_->synthetic;
-            world_->proto->observe_eager_unpack(
-                req.env.source, rank_, family_of(req.type), static_cast<double>(total),
-                observed_ns(*world_, syn.eager_unpack_base_ns, syn.eager_unpack_per_byte_ns,
-                            total, t0));
-            ++counters_.rt_proto_adapt_updates;
         }
     }
     req.status.source = req.env.source;
@@ -1552,8 +1468,6 @@ Comm Comm::dup() {
     c.engine_kind_ = engine_kind_;
     c.engine_config_ = engine_config_;
     c.rendezvous_threshold_ = rendezvous_threshold_;
-    c.threshold_pinned_ = threshold_pinned_;
-    c.adaptive_protocol_ = adaptive_protocol_;
     return c;
 }
 
@@ -1577,8 +1491,42 @@ void Comm::barrier() {
 // ---------------------------------------------------------------------------
 // World
 
+namespace {
+
+#if defined(__GLIBC__)
+/// Process heap policy, applied once by the first World. A one-shot build
+/// (gather_sparse -> VecScatter -> AlltoallwPlan: schedule, staging,
+/// engines, window region) frees about 30 blocks of 32-128 KiB per rank.
+/// Under glibc's defaults those frees return the memory to the OS (heap
+/// trim, or munmap while the dynamic mmap threshold is still below the
+/// block), and the next step faults the same pages in again. Pinning
+/// both thresholds keeps such blocks in the arenas: nothing below 32 MiB
+/// is served by a private mmap, and a heap top is only trimmed past
+/// 64 MiB free. Both must be set together: glibc's dynamic rule raises
+/// both thresholds as mmapped blocks are freed, any explicit mallopt of
+/// either one switches that rule off, and the one left unset then stays
+/// at its 128 KiB default. 32 MiB is the ceiling the dynamic rule itself
+/// climbs to on 64-bit. InfiniBand MPI stacks such as MVAPICH2 apply the
+/// same kind of mallopt policy so that freed buffers stay mapped.
+constexpr int kHeapMmapThresholdBytes = 32 << 20;
+constexpr int kHeapTrimThresholdBytes = 64 << 20;
+#endif
+
+void apply_heap_policy() {
+#if defined(__GLIBC__)
+    static std::once_flag once;
+    std::call_once(once, [] {
+        mallopt(M_MMAP_THRESHOLD, kHeapMmapThresholdBytes);
+        mallopt(M_TRIM_THRESHOLD, kHeapTrimThresholdBytes);
+    });
+#endif
+}
+
+}  // namespace
+
 World::World(int nranks) : nranks_(nranks), state_(std::make_unique<WorldState>()) {
     NNCOMM_CHECK_MSG(nranks >= 1, "World needs at least one rank");
+    apply_heap_policy();
     state_->nranks = nranks;
     state_->boxes.reserve(static_cast<std::size_t>(nranks));
     state_->destq.reserve(static_cast<std::size_t>(nranks));
@@ -1588,7 +1536,6 @@ World::World(int nranks) : nranks_(nranks), state_(std::make_unique<WorldState>(
         state_->destq.push_back(std::make_unique<detail::DestQueue>());
     }
     state_->pool.init(nranks);
-    state_->proto = std::make_unique<ProtoTable>(nranks);
     state_->done_send = std::make_shared<RequestState>();
     state_->done_send->kind = RequestState::Kind::Send;
     state_->done_send->delivered.store(true, std::memory_order_release);
@@ -1604,19 +1551,6 @@ const SchedulePolicy& World::schedule() const { return state_->policy; }
 void World::set_payload_pool_budget(std::size_t bytes) { state_->pool.set_budget(bytes); }
 
 std::size_t World::payload_pool_resident_bytes() const { return state_->pool.resident_bytes(); }
-
-void World::set_synthetic_protocol_costs(const SyntheticProtoCosts& costs) {
-    state_->synthetic = costs;
-}
-
-std::size_t World::learned_threshold(int src, int dst, PackFamily family,
-                                     std::size_t fallback) const {
-    return state_->proto->learned_threshold(src, dst, family, fallback);
-}
-
-std::uint64_t World::proto_pair_samples(int src, int dst) const {
-    return state_->proto->pair_samples(src, dst);
-}
 
 void World::run(const std::function<void(Comm&)>& fn) {
     // Reset abort state and clear any residue from a previous run.

@@ -168,40 +168,12 @@ public:
     void set_engine_config(const dt::EngineConfig& cfg) { engine_config_ = cfg; }
     const dt::EngineConfig& engine_config() const { return engine_config_; }
     /// Message size (bytes) at which Protocol::Auto sends attempt the
-    /// zero-copy rendezvous path. 0 makes every nonempty send attempt it;
-    /// SIZE_MAX disables the protocol for this communicator. Setting an
-    /// explicit threshold PINS static protocol selection (adaptation
-    /// disengages), so tests and workloads that reason about exact protocol
-    /// counts keep their determinism; a later set_adaptive_protocol(true)
-    /// re-engages adaptation with this value as the fallback.
-    void set_rendezvous_threshold(std::size_t bytes) {
-        rendezvous_threshold_ = bytes;
-        threshold_pinned_ = true;
-    }
+    /// zero-copy rendezvous path (rt::rendezvous_eligible). 0 makes every
+    /// nonempty send attempt it; SIZE_MAX disables the protocol for this
+    /// communicator. Collectives and persistent plans assume every rank
+    /// runs the same value, as they assume uniform arguments.
+    void set_rendezvous_threshold(std::size_t bytes) { rendezvous_threshold_ = bytes; }
     std::size_t rendezvous_threshold() const { return rendezvous_threshold_; }
-
-    /// Per-(src, dst)-pair self-tuning protocol selection (protocol.hpp):
-    /// when engaged, Protocol::Auto resolves against the learned
-    /// eager/rendezvous cost crossover for (this rank, dest, pack family)
-    /// instead of the static threshold, which remains the fallback while
-    /// the cost model is under-sampled. On by default; disengaged by an
-    /// explicit set_rendezvous_threshold or the NNCOMM_ADAPTIVE=OFF env
-    /// var. An explicit set_adaptive_protocol(true) overrides a prior
-    /// threshold pin.
-    void set_adaptive_protocol(bool on) {
-        adaptive_protocol_ = on;
-        if (on) threshold_pinned_ = false;
-    }
-    bool adaptive_protocol() const { return adaptive_protocol_; }
-    /// True when Auto sends actually consult the learned cost model.
-    bool adaptive_protocol_engaged() const {
-        return adaptive_protocol_ && !threshold_pinned_ && adaptive_runtime_enabled();
-    }
-    /// The threshold a Protocol::Auto send to `dest` with layout `type`
-    /// resolves against right now: the learned crossover when adaptation is
-    /// engaged and confident, the static threshold otherwise. Updates the
-    /// rt_proto_threshold_bytes_{hi,lo} water marks.
-    std::size_t effective_rendezvous_threshold(int dest, const dt::Datatype& type);
 
     // -- blocking point-to-point ---------------------------------------------
     void send(const void* buf, std::size_t count, const dt::Datatype& type, int dest, int tag);
@@ -282,11 +254,6 @@ public:
     /// drives its consensus loop with this.
     ProbeStatus iprobe_i(int source, int tag);
 
-    /// Matching-context ordinal of this communicator (stable across ranks:
-    /// dup trees are numbered deterministically). Keys the ProtoTuneCache's
-    /// per-(communicator, pattern) frozen protocol choices.
-    int context_id() const { return context_; }
-
     // -- convenience typed sends (contiguous arrays) --------------------------
     template <typename T>
     void send_n(const T* buf, std::size_t n, int dest, int tag) {
@@ -334,7 +301,7 @@ private:
     Request isend_ctx(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
                       int tag, int context, Protocol proto = Protocol::Auto);
     detail::Envelope pack_envelope(const void* buf, std::size_t count, const dt::Datatype& type,
-                                   int dest, int tag, int context, std::size_t total);
+                                   int tag, int context, std::size_t total);
     bool try_rendezvous(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
                         int tag, int context, Protocol proto, std::size_t total);
     /// Returns a fresh receive request, recycling an idle RequestState from
@@ -362,8 +329,6 @@ private:
     int dup_count_ = 0;  ///< children created from this communicator
     int collective_epoch_ = 0;
     std::size_t rendezvous_threshold_ = kDefaultRendezvousThreshold;
-    bool threshold_pinned_ = false;     ///< explicit threshold: static selection
-    bool adaptive_protocol_ = true;     ///< consult the learned cost model
     dt::EngineKind engine_kind_ = dt::EngineKind::DualContext;
     dt::EngineConfig engine_config_{};
     PhaseTimers timers_;
@@ -375,6 +340,9 @@ private:
 /// A set of ranks executed as threads.
 class World {
 public:
+    /// The first World of the process also fixes glibc's mmap and trim
+    /// thresholds, so one-shot plan builds reuse heap memory instead of
+    /// returning it to the OS every step (comm.cpp, apply_heap_policy).
     explicit World(int nranks);
     ~World();
 
@@ -405,21 +373,6 @@ public:
     void set_payload_pool_budget(std::size_t bytes);
     /// Bytes currently resident in the shared payload-pool store.
     std::size_t payload_pool_resident_bytes() const;
-
-    /// Replaces measured protocol-cost observations with the analytic model
-    /// `costs` (protocol.hpp): every observation becomes base + per_byte ×
-    /// bytes with no clock reads, so adaptation is a pure deterministic
-    /// function of the message sequence. Must not be called while a run is
-    /// in progress. Determinism tests and benches place the crossover
-    /// exactly with this.
-    void set_synthetic_protocol_costs(const SyntheticProtoCosts& costs);
-    /// The learned rendezvous crossover for (src, dst, family), or
-    /// `fallback` while the pair's cost model is under-sampled.
-    std::size_t learned_threshold(int src, int dst, PackFamily family,
-                                  std::size_t fallback) const;
-    /// Total cost-model observations recorded for the (src, dst) pair
-    /// across all families and lines (determinism tests).
-    std::uint64_t proto_pair_samples(int src, int dst) const;
 
 private:
     int nranks_;

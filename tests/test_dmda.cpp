@@ -286,6 +286,60 @@ TEST(Dmda, GhostPlanSteadyStateBuildsNothing) {
     });
 }
 
+// The ghost plan's clear-to-send handshake follows the one static
+// threshold: a rank sends a token only to a neighbour whose slab goes
+// rendezvous. A token is one lane delivery; a payload is one lane delivery
+// or one zero-copy transfer (a rendezvous send degrades to eager when the
+// receiver has not consumed our token yet), so lane deliveries plus
+// zero-copy transfers count payloads plus tokens exactly.
+TEST(Dmda, GhostPlanSendsClearToSendOnlyToRendezvousPeers) {
+    World w(4);
+    w.run([](Comm& c) {
+        // 2 x 2 x 1 process grid: two face neighbours with 1536 B slabs
+        // and one edge neighbour with a 128 B slab per rank.
+        const GridSize size{24, 24, 8};
+        constexpr int kDof = 2;
+        auto second_exchange = [&c](const DMDA& da) {
+            Vec v = da.create_global();
+            fill_dmda_vec(da, v);
+            auto local = da.create_local();
+            da.global_to_local(v, local);  // compiles the plan
+            c.barrier();
+            c.reset_stats();
+            da.global_to_local(v, local);
+            return c.counters();
+        };
+
+        // Default threshold (32 KiB) above every slab: one eager message
+        // per nonzero neighbour and no token.
+        {
+            DMDA da(c, 3, size, kDof, 1, Stencil::Box);
+            const StatCounters cnt = second_exchange(da);
+            EXPECT_EQ(cnt.rt_lane_fast_deliveries + cnt.rt_lane_overflow_deliveries,
+                      da.neighbors().size());
+            EXPECT_EQ(cnt.rt_zero_copy_msgs, 0u);
+        }
+
+        // Threshold below the face slabs, above the edge slab: one token
+        // per neighbour whose slab this rank receives rendezvous.
+        c.set_rendezvous_threshold(1024);
+        DMDA da(c, 3, size, kDof, 1, Stencil::Box);
+        std::uint64_t rdv_peers = 0;
+        for (const DMDA::Neighbor& nb : da.neighbors()) {
+            const std::uint64_t recv_bytes =
+                static_cast<std::uint64_t>(nb.recv_box.volume()) * kDof * sizeof(double);
+            if (recv_bytes >= c.rendezvous_threshold()) ++rdv_peers;
+        }
+        ASSERT_GT(rdv_peers, 0u);
+        ASSERT_LT(rdv_peers, da.neighbors().size());
+        const StatCounters cnt = second_exchange(da);
+        EXPECT_EQ(cnt.rt_lane_fast_deliveries + cnt.rt_lane_overflow_deliveries +
+                      cnt.rt_zero_copy_msgs,
+                  da.neighbors().size() + rdv_peers);
+        EXPECT_LE(cnt.rt_zero_copy_msgs, rdv_peers);
+    });
+}
+
 TEST(Dmda, GhostPlanIsSingleFlight) {
     World w(4);
     w.run([](Comm& c) {

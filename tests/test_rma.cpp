@@ -318,12 +318,10 @@ TEST(RmaPlan, SteadyStateMovesZeroTwoSidedMessages) {
     });
 }
 
-// The frozen Auto selection is rerun-stable: once the tune cache froze an
-// RMA choice for a shape, rebuilding the same plan adopts it verbatim.
+// Auto selection is a pure function of the config and the env gate: a
+// plan rebuilt for the same shape lowers to RMA again.
 TEST(RmaPlan, FrozenAutoSelectionStableAcrossReruns) {
     if (!rt::rma_selection_enabled()) GTEST_SKIP() << "RMA selection gated off";
-    if (!rt::adaptive_runtime_enabled()) GTEST_SKIP() << "NNCOMM_ADAPTIVE=OFF";
-    rt::ProtoTuneCache::instance().reset();
 
     auto build_rma = [](World& w) {
         bool rma = false;
@@ -345,12 +343,8 @@ TEST(RmaPlan, FrozenAutoSelectionStableAcrossReruns) {
     };
 
     World w(2);
-    const bool first = build_rma(w);
-    EXPECT_TRUE(first);  // Auto with the gate open selects RMA
-    const bool second = build_rma(w);
-    EXPECT_EQ(first, second);
-    EXPECT_GT(rt::ProtoTuneCache::instance().stats().hits, 0u);
-    rt::ProtoTuneCache::instance().reset();
+    EXPECT_TRUE(build_rma(w));  // Auto with the gate open selects RMA
+    EXPECT_TRUE(build_rma(w));  // and again on the rebuild
 }
 
 // Full perturbation matrix: 8 seeds x thresholds {0, 32 KiB, never} over a

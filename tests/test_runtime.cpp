@@ -8,11 +8,14 @@
 #include <numeric>
 #include <vector>
 
+#include "core/env.hpp"
 #include "datatype/pack.hpp"
 #include "runtime/comm.hpp"
 
 namespace {
 
+using nncomm::env_equals;
+using nncomm::env_flag_enabled;
 using nncomm::dt::Datatype;
 using nncomm::rt::Comm;
 using nncomm::rt::kAnySource;
@@ -30,6 +33,25 @@ TEST(Runtime, SingleRankWorld) {
         ++visits;
     });
     EXPECT_EQ(visits, 1);
+}
+
+// The parser behind the runtime escape hatches (NNCOMM_SIMD, NNCOMM_RMA).
+TEST(Runtime, EnvParser) {
+    EXPECT_TRUE(env_flag_enabled(nullptr));
+    EXPECT_TRUE(env_flag_enabled("ON"));
+    EXPECT_TRUE(env_flag_enabled("1"));
+    EXPECT_TRUE(env_flag_enabled(""));
+    EXPECT_TRUE(env_flag_enabled("off-ish"));
+    EXPECT_FALSE(env_flag_enabled("OFF"));
+    EXPECT_FALSE(env_flag_enabled("off"));
+    EXPECT_FALSE(env_flag_enabled("oFf"));
+    EXPECT_FALSE(env_flag_enabled("0"));
+    EXPECT_FALSE(env_flag_enabled("FALSE"));
+    EXPECT_FALSE(env_flag_enabled("false"));
+    // The token matcher NNCOMM_SIMD parses with: whole-string, any case.
+    EXPECT_TRUE(env_equals("avx512", "AVX512"));
+    EXPECT_FALSE(env_equals("AVX", "AVX2"));
+    EXPECT_FALSE(env_equals("AVX2x", "AVX2"));
 }
 
 TEST(Runtime, PingPong) {
