@@ -17,15 +17,14 @@
 //        - a uniform all-to-all sweep (reported, not gated: with every
 //          edge equal the two-sided schedules have no zero-size or
 //          nonuniformity penalty to pay, so parity is the expectation).
-//   2. Real threaded runtime: steady-state executes of an RMA-forced
+//   2. Real threaded runtime: steady-state executes of an RMA
 //      persistent plan, counter-attested — zero lane deliveries, zero
 //      zero-copy matches, puts and two fences per execute — plus measured
 //      per-execute time against the two-sided persistent plan.
 //
 // Gate ("pass" in BENCH_rma.json, exit code otherwise): the RMA schedule
 // beats the best two-sided schedule at every gated size on both nonuniform
-// shapes, and the steady-state counter attestation holds (skipped under
-// NNCOMM_RMA=OFF).
+// shapes, and the steady-state counter attestation holds.
 //
 // `--smoke` runs the simulated gates at one size plus the attestation,
 // writes no JSON.
@@ -39,7 +38,6 @@
 #include "coll/persistent.hpp"
 #include "netsim/programs.hpp"
 #include "runtime/comm.hpp"
-#include "runtime/protocol.hpp"
 
 using namespace nncomm;
 using benchutil::Table;
@@ -149,14 +147,10 @@ RealRun run_real(int nprocs) {
             src[i] = static_cast<std::uint8_t>((static_cast<std::size_t>(r) * 131 + i) & 0xff);
         }
 
-        coll::CollConfig rma_cfg;
-        rma_cfg.persistent_protocol = rt::Protocol::Rma;
-        coll::CollConfig two_cfg;
-        two_cfg.persistent_protocol = rt::Protocol::Rendezvous;
         coll::AlltoallwPlan rma_plan(c, scounts, sdispls, types, rcounts, rdispls, types,
-                                     rma_cfg);
+                                     coll::PlanTransport::Rma);
         coll::AlltoallwPlan two_plan(c, scounts, sdispls, types, rcounts, rdispls, types,
-                                     two_cfg);
+                                     coll::PlanTransport::TwoSided);
         if (c.rank() == 0) out.rma_selected = rma_plan.rma();
 
         for (int i = 0; i < kWarm; ++i) {
@@ -168,7 +162,7 @@ RealRun run_real(int nprocs) {
         c.reset_stats();
         rma_plan.execute(src.data(), dst.data());
         const StatCounters cnt = c.counters();
-        if (c.rank() == 0 && rma_plan.rma()) {
+        if (c.rank() == 0) {
             out.puts = cnt.rt_rma_puts;
             out.fences = cnt.rt_rma_fences;
             out.deliveries = cnt.rt_lane_fast_deliveries + cnt.rt_lane_overflow_deliveries;
@@ -252,21 +246,16 @@ int main(int argc, char** argv) {
     }
 
     // Real-runtime attestation + steady-state timing.
-    RealRun real;
-    if (rt::rma_selection_enabled()) {
-        real = run_real(8);
-        std::printf("-- real runtime, 8 ranks, ring neighbor 16 KiB per edge --\n");
-        std::printf("steady-state execute: RMA %.4f ms, two-sided %.4f ms\n",
-                    real.rma_ms_per_exec, real.two_sided_ms_per_exec);
-        std::printf("counters: %llu puts, %llu fences, %llu deliveries -> %s\n",
-                    static_cast<unsigned long long>(real.puts),
-                    static_cast<unsigned long long>(real.fences),
-                    static_cast<unsigned long long>(real.deliveries),
-                    real.counters_ok ? "ATTESTED" : "FAIL");
-        pass = pass && real.rma_selected && real.counters_ok;
-    } else {
-        std::printf("-- real runtime attestation skipped: NNCOMM_RMA=OFF --\n");
-    }
+    const RealRun real = run_real(8);
+    std::printf("-- real runtime, 8 ranks, ring neighbor 16 KiB per edge --\n");
+    std::printf("steady-state execute: RMA %.4f ms, two-sided %.4f ms\n",
+                real.rma_ms_per_exec, real.two_sided_ms_per_exec);
+    std::printf("counters: %llu puts, %llu fences, %llu deliveries -> %s\n",
+                static_cast<unsigned long long>(real.puts),
+                static_cast<unsigned long long>(real.fences),
+                static_cast<unsigned long long>(real.deliveries),
+                real.counters_ok ? "ATTESTED" : "FAIL");
+    pass = pass && real.rma_selected && real.counters_ok;
 
     std::printf("\nRMA gate (beats best two-sided on both nonuniform shapes, counters clean): %s\n",
                 pass ? "PASS" : "FAIL");

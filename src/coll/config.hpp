@@ -34,13 +34,6 @@ struct CollConfig {
     std::size_t long_msg_total = 512 * 1024;
     /// Alltoallw Binned: send volumes strictly below this are "small".
     std::size_t small_msg_threshold = 4 * 1024;
-    /// Persistent-plan transport (AlltoallwPlan / VecScatter). Auto lowers
-    /// onto one-sided RMA windows whenever rt::rma_selection_enabled();
-    /// Rma forces windows (degrading to two-sided under NNCOMM_RMA=OFF);
-    /// Eager/Rendezvous force the two-sided schedule graph. The choice must
-    /// be uniform across ranks — it is a pure function of this config and
-    /// the env gate, never of local traffic.
-    rt::Protocol persistent_protocol = rt::Protocol::Auto;
 };
 
 enum class ReduceOp { Sum, Max, Min };

@@ -30,9 +30,12 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
                              std::span<const dt::Datatype> sendtypes,
                              std::span<const std::size_t> recvcounts,
                              std::span<const std::ptrdiff_t> rdispls,
-                             std::span<const dt::Datatype> recvtypes, const CollConfig& config,
+                             std::span<const dt::Datatype> recvtypes, PlanTransport transport,
                              dt::EngineKind engine)
-    : comm_(&comm), engine_kind_(engine), engine_config_(comm.engine_config()) {
+    : comm_(&comm),
+      engine_kind_(engine),
+      engine_config_(comm.engine_config()),
+      rma_(transport == PlanTransport::Rma) {
     const auto n = static_cast<std::size_t>(comm.size());
     NNCOMM_CHECK_MSG(sendcounts.size() == n && sdispls.size() == n && sendtypes.size() == n &&
                          recvcounts.size() == n && rdispls.size() == n && recvtypes.size() == n,
@@ -103,15 +106,6 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     }
     send_peers_ = sends.size();
     recv_peers_ = recvs.size();
-
-    // One-sided lowering decision. It MUST be uniform across ranks — the
-    // closing fence is collective, and a rank with zero local traffic
-    // cannot see its peers' volumes — so it is a pure function of the
-    // config and the env gate, never of the traffic matrix.
-    // Protocol::Eager / Rendezvous in the config force the two-sided graph.
-    rma_ = rt::rma_selection_enabled() &&
-           (config.persistent_protocol == rt::Protocol::Auto ||
-            config.persistent_protocol == rt::Protocol::Rma);
 
     if (rma_) {
         // Window layout: one block per source peer, prefix sums of receive

@@ -45,22 +45,39 @@
 
 namespace nncomm::coll {
 
+/// The transport a persistent plan lowers onto, named by its caller: there
+/// is no default and no run-time override. Every rank must pass the same
+/// value, since the RMA fences are collective; that is why it is never
+/// derived from the traffic matrix, which a rank with no local traffic
+/// cannot see.
+enum class PlanTransport {
+    /// Send/recv schedule graph: each peer's volume freezes eager or
+    /// rendezvous, with a clear-to-send ahead of every rendezvous payload.
+    /// No communicator-wide synchronization, so a rank finishes its
+    /// exchange as soon as its own peers have delivered.
+    TwoSided,
+    /// One-sided window: offsets exchanged once at plan time, then every
+    /// execute is fence, fused pack+put into the peers' regions, fence.
+    /// The closing fence spans the whole communicator.
+    Rma,
+};
+
 /// Persistent plan for one fixed Alltoallw shape (counts, displacements and
 /// types per peer). Buffers may differ between execute() calls; the shape
 /// may not. Owned and used by a single rank thread (like Comm itself).
 class AlltoallwPlan {
 public:
-    /// Captures the shape, bins the peers and compiles the schedule.
-    /// `engine` selects the pack engine used for peers whose layout does
-    /// not compile to a specialized plan kernel. The engine configuration
-    /// is taken from `comm` at every execute, so config changes between
-    /// executes rebuild the engines (and are counted).
+    /// Captures the shape, bins the peers and compiles the schedule for
+    /// `transport`. `engine` selects the pack engine used for peers whose
+    /// layout does not compile to a specialized plan kernel. The engine
+    /// configuration is taken from `comm` at every execute, so config
+    /// changes between executes rebuild the engines (and are counted).
     AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendcounts,
                   std::span<const std::ptrdiff_t> sdispls,
                   std::span<const dt::Datatype> sendtypes,
                   std::span<const std::size_t> recvcounts,
                   std::span<const std::ptrdiff_t> rdispls,
-                  std::span<const dt::Datatype> recvtypes, const CollConfig& config = {},
+                  std::span<const dt::Datatype> recvtypes, PlanTransport transport,
                   dt::EngineKind engine = dt::EngineKind::DualContext);
 
     AlltoallwPlan(const AlltoallwPlan&) = delete;
@@ -94,9 +111,7 @@ public:
     /// The compiled schedule (inspection / netsim lowering).
     const Schedule& schedule() const { return request_.schedule(); }
 
-    /// True when the plan lowered onto one-sided RMA windows (fused
-    /// pack+Put into the peers' regions, fences for completion) instead of
-    /// the two-sided send/recv graph. Uniform across ranks by construction.
+    /// True when the plan was built for PlanTransport::Rma.
     bool rma() const { return rma_; }
 
 private:

@@ -368,7 +368,6 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
         put.kind = ScheduleOpKind::Put;
         put.round = 1;
         put.peer = p.rank;
-        put.proto = rt::Protocol::Rma;
         put.a = {BufRef::Space::Send, sdispls[d]};
         put.count = sendcounts[d];
         put.type = sendtypes[d];

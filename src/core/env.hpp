@@ -1,5 +1,4 @@
-// Environment-variable parsing shared by the runtime escape hatches
-// (NNCOMM_SIMD, NNCOMM_RMA).
+// Environment-variable parsing for the runtime escape hatch (NNCOMM_SIMD).
 #pragma once
 
 namespace nncomm {

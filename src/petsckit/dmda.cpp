@@ -348,16 +348,12 @@ coll::CollRequest DMDA::ghosts_begin(const Vec& global, std::span<double> local,
         auto scounts = g2l_scounts_, rcounts = g2l_rcounts_;
         scounts[self] = 0;
         rcounts[self] = 0;
-        // Two-sided whatever config.persistent_protocol says (Eager selects
-        // the send/recv graph; large slabs still go rendezvous): an RMA
-        // plan's closing fence spans the communicator, so no rank could
-        // finish its exchange before the slowest rank reached its end().
-        // No other CollConfig field shapes a binned plan.
-        coll::CollConfig two_sided;
-        two_sided.persistent_protocol = rt::Protocol::Eager;
+        // Two-sided (large slabs still go rendezvous): an RMA plan's
+        // closing fence spans the communicator, so no rank could finish
+        // its exchange before the slowest rank reached its end().
         g2l_plan_ = std::make_unique<coll::AlltoallwPlan>(
             *comm_, scounts, g2l_sdispls_, g2l_stypes_, rcounts, g2l_rdispls_, g2l_rtypes_,
-            two_sided, comm_->engine_kind());
+            coll::PlanTransport::TwoSided, comm_->engine_kind());
     }
     NNCOMM_CHECK_MSG(!g2l_plan_->in_flight(),
                      "ghost exchange: this DMDA's previous ghost exchange is still in flight; "

@@ -317,7 +317,6 @@ ScatterRequest VecScatter::begin_datatype(const void* sendbuf, void* recvbuf,
     comm_->set_engine(engine);
     coll::CollConfig cfg;
     cfg.alltoallw_algo = algo;
-    cfg.persistent_protocol = persistent_protocol_;
 
     const bool forward = mode == ScatterMode::Forward;
     const auto& scounts = forward ? w_sendcounts_ : w_recvcounts_;
@@ -338,7 +337,8 @@ ScatterRequest VecScatter::begin_datatype(const void* sendbuf, void* recvbuf,
         auto& plan = forward ? fwd_plan_ : rev_plan_;
         if (!plan) {
             plan = std::make_unique<coll::AlltoallwPlan>(*comm_, scounts, sdispls, stypes,
-                                                         rcounts, rdispls, rtypes, cfg, engine);
+                                                         rcounts, rdispls, rtypes,
+                                                         coll::PlanTransport::Rma, engine);
         }
         req.coll_ = plan->begin(sendbuf, recvbuf);
     } else {

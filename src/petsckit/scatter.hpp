@@ -132,19 +132,9 @@ public:
     void set_persistent(bool on) { persistent_ = on; }
     bool persistent() const { return persistent_; }
 
-    /// Transport for the persistent plans (CollConfig::persistent_protocol):
-    /// Auto lowers onto one-sided RMA windows when enabled, Rma forces
-    /// them, Eager/Rendezvous force the two-sided schedule graph. Must be
-    /// set identically on every rank, before the first execute (existing
-    /// plans are not rebuilt).
-    void set_persistent_protocol(rt::Protocol proto) { persistent_protocol_ = proto; }
-    rt::Protocol persistent_protocol() const { return persistent_protocol_; }
-    /// True when that direction's plan exists and lowered onto RMA windows.
-    bool forward_rma() const { return fwd_plan_ && fwd_plan_->rma(); }
-    bool reverse_rma() const { return rev_plan_ && rev_plan_->rma(); }
-
     /// The lazily built persistent plans (nullptr until the first
-    /// DatatypeOptimized execute in that direction). Exposes the
+    /// DatatypeOptimized execute in that direction). Both lower onto
+    /// one-sided RMA windows (coll::PlanTransport::Rma). Exposes the
     /// allocation/plan-hit counters tests and benches assert on.
     const coll::AlltoallwPlan* forward_plan() const { return fwd_plan_.get(); }
     const coll::AlltoallwPlan* reverse_plan() const { return rev_plan_.get(); }
@@ -203,7 +193,6 @@ private:
     // Persistent state, built lazily on first use. Each rank thread owns
     // its VecScatter (like its Comm), so mutable-without-locks is safe.
     bool persistent_ = true;
-    rt::Protocol persistent_protocol_ = rt::Protocol::Auto;
     mutable std::unique_ptr<coll::AlltoallwPlan> fwd_plan_, rev_plan_;
     mutable std::vector<std::vector<double>> ht_fwd_send_, ht_fwd_recv_;
     mutable std::vector<std::vector<double>> ht_rev_send_, ht_rev_recv_;

@@ -829,7 +829,6 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
 bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
                           int tag, int context, Protocol proto, std::size_t total) {
     if (proto == Protocol::Eager || world_->policy.enabled) return false;
-    if (proto == Protocol::Rma) proto = Protocol::Auto;  // no window here: resolve like Auto
     NNCOMM_CHECK(type.valid());
     // A zero-byte message never goes rendezvous, whatever the hint; it is
     // not a protocol decision, so it is not counted as one.

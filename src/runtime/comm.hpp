@@ -89,11 +89,8 @@ inline constexpr int kAnyTag = -1;
 /// rendezvous attempt always degrades to buffered eager when the matching
 /// receive is not posted yet or a SchedulePolicy is active, so a hint can
 /// never deadlock or reorder anything — it only changes which copy path
-/// moves the bytes. Rma marks a transfer lowered onto a one-sided window
-/// (rt::Win) by a persistent plan; on the ad-hoc point-to-point path it
-/// resolves exactly like Auto (there is no window to put into), so the
-/// hint is always safe to pass through generic send paths.
-enum class Protocol { Auto, Eager, Rendezvous, Rma };
+/// moves the bytes.
+enum class Protocol { Auto, Eager, Rendezvous };
 
 /// Default rendezvous threshold (bytes). Overridable per communicator via
 /// Comm::set_rendezvous_threshold (SIZE_MAX means "never": pure eager).

@@ -7,27 +7,11 @@
 // persistent plan reach the same decision from the volumes they already
 // agree on, so a receiver knows exactly which senders will wait for its
 // clear-to-send, and reruns of a plan make bit-identical choices.
-//
-// Escape hatch: NNCOMM_RMA ("OFF"/"0"/"FALSE", case-insensitive) keeps
-// persistent plans on the two-sided protocols, mirroring the NNCOMM_SIMD
-// pattern.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-
-#include "core/env.hpp"
 
 namespace nncomm::rt {
-
-/// Escape hatch: NNCOMM_RMA=OFF|0|FALSE keeps persistent plans on the
-/// two-sided protocols. rt::Win itself is always available — only the
-/// persistent-plan protocol selection is gated. Memoized (first call wins,
-/// like simd.cpp's NNCOMM_SIMD cap).
-inline bool rma_selection_enabled() {
-    static const bool enabled = env_flag_enabled(std::getenv("NNCOMM_RMA"));
-    return enabled;
-}
 
 /// The one eager/rendezvous boundary every layer applies (Comm's send path,
 /// the schedule builders' phase hints, persistent plans, netsim): a message

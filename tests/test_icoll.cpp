@@ -235,8 +235,8 @@ TEST(Icoll, ScheduleCountersAccumulate) {
         EXPECT_GE(after.coll_overlap_progress_calls - before.coll_overlap_progress_calls,
                   pokes);
 
-        // Persistent plan: one compiled schedule, every re-execute a cache
-        // hit (no new build).
+        // Persistent plan, on either transport: one compiled schedule,
+        // every re-execute a cache hit (no new build).
         const auto un = static_cast<std::size_t>(n);
         std::vector<std::size_t> scounts(un, 3), rcounts(un, 3);
         std::vector<std::ptrdiff_t> sdispls(un), rdispls(un);
@@ -245,23 +245,26 @@ TEST(Icoll, ScheduleCountersAccumulate) {
             sdispls[static_cast<std::size_t>(p)] = p * 12;
             rdispls[static_cast<std::size_t>(p)] = p * 12;
         }
-        coll::AlltoallwPlan plan(c, scounts, sdispls, types, rcounts, rdispls, types);
-        std::vector<std::int32_t> sendbuf(un * 3), recvbuf(un * 3);
-        for (std::size_t i = 0; i < sendbuf.size(); ++i) {
-            sendbuf[i] = c.rank() * 1000 + static_cast<int>(i);
+        for (auto transport : {coll::PlanTransport::TwoSided, coll::PlanTransport::Rma}) {
+            coll::AlltoallwPlan plan(c, scounts, sdispls, types, rcounts, rdispls, types,
+                                     transport);
+            std::vector<std::int32_t> sendbuf(un * 3), recvbuf(un * 3);
+            for (std::size_t i = 0; i < sendbuf.size(); ++i) {
+                sendbuf[i] = c.rank() * 1000 + static_cast<int>(i);
+            }
+            const StatCounters plan_before = c.counters();
+            constexpr int kExecutes = 4;
+            for (int e = 0; e < kExecutes; ++e) {
+                coll::CollRequest h = plan.begin(sendbuf.data(), recvbuf.data());
+                h.test();  // one overlap poke through the plan's handle
+                h.wait();
+            }
+            const StatCounters plan_after = c.counters();
+            EXPECT_EQ(plan.executes(), static_cast<std::uint64_t>(kExecutes));
+            EXPECT_EQ(plan_after.coll_schedules_built - plan_before.coll_schedules_built, 1u);
+            EXPECT_EQ(plan_after.coll_schedule_cache_hits - plan_before.coll_schedule_cache_hits,
+                      static_cast<std::uint64_t>(kExecutes - 1));
         }
-        const StatCounters plan_before = c.counters();
-        constexpr int kExecutes = 4;
-        for (int e = 0; e < kExecutes; ++e) {
-            coll::CollRequest h = plan.begin(sendbuf.data(), recvbuf.data());
-            h.test();  // one overlap poke through the plan's handle
-            h.wait();
-        }
-        const StatCounters plan_after = c.counters();
-        EXPECT_EQ(plan.executes(), static_cast<std::uint64_t>(kExecutes));
-        EXPECT_EQ(plan_after.coll_schedules_built - plan_before.coll_schedules_built, 1u);
-        EXPECT_EQ(plan_after.coll_schedule_cache_hits - plan_before.coll_schedule_cache_hits,
-                  static_cast<std::uint64_t>(kExecutes - 1));
     });
 }
 

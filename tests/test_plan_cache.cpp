@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "coll/persistent.hpp"
 #include "core/rng.hpp"
 #include "datatype/plan.hpp"
 #include "petsckit/scatter.hpp"
@@ -210,45 +211,44 @@ TEST(PlanCacheTest, LeastRecentlyUsedIsEvicted) {
 // ---------------------------------------------------------------------------
 // persistent scatter: allocation-free steady state
 
-// Stride-2 scatter (the §5.4 shape): every per-peer type compiles to the
-// Strided kernel, so the persistent plan needs no engines at all.
+// Stride-2 exchange (the §5.4 shape) on a directly built two-sided plan,
+// the transport the DMDA ghost exchange uses: the send type compiles to
+// the Strided kernel, so the plan needs no engines at all, and its staging
+// slots are allocated once.
 TEST(PersistentScatter, StridedSteadyStateBuildsNoEnginesOrScratch) {
     constexpr int kRanks = 4;
-    constexpr Index kN = 256;
+    constexpr std::size_t kN = 256;
     World w(kRanks);
     w.run([&](Comm& comm) {
-        Vec src(comm, 2 * kN * kRanks);
-        Vec dst(comm, kN * kRanks);
-        for (Index i = 0; i < src.local_size(); ++i) {
-            src.data()[i] = static_cast<double>(src.range().begin + i);
+        const int r = comm.rank();
+        const auto n = static_cast<std::size_t>(kRanks);
+        const auto right = static_cast<std::size_t>((r + 1) % kRanks);
+        const auto left = static_cast<std::size_t>((r + kRanks - 1) % kRanks);
+        std::vector<double> src(2 * kN), dst(kN, 0.0);
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            src[i] = static_cast<double>(static_cast<std::size_t>(r) * 2 * kN + i);
         }
-
-        std::vector<Index> from, to;
-        for (int r = 0; r < kRanks; ++r) {
-            for (Index j = 0; j < kN; ++j) {
-                from.push_back(r * 2 * kN + 2 * j);
-                to.push_back(((r + 1) % kRanks) * kN + j);
-            }
-        }
-        VecScatter sc(src, IndexSet::general(from), dst, IndexSet::general(to));
-        // This test pins the two-sided plan's staging mechanics (plan-time
-        // scratch, engine-free strided kernels); the RMA lowering packs
-        // straight into the peer window and allocates no scratch at all.
-        sc.set_persistent_protocol(rt::Protocol::Rendezvous);
+        std::vector<std::size_t> scounts(n, 0), rcounts(n, 0);
+        std::vector<std::ptrdiff_t> displs(n, 0);
+        std::vector<Datatype> stypes(n, Datatype::byte()), rtypes(n, Datatype::byte());
+        scounts[right] = 1;
+        stypes[right] = Datatype::vector(kN, 1, 2, Datatype::float64());
+        rcounts[left] = kN;
+        rtypes[left] = Datatype::float64();
 
         comm.reset_stats();
-        sc.execute(src, dst, ScatterBackend::DatatypeOptimized);
-        const coll::AlltoallwPlan* plan = sc.forward_plan();
-        ASSERT_NE(plan, nullptr);
-        const StatCounters first = plan->counters();
+        coll::AlltoallwPlan plan(comm, scounts, displs, stypes, rcounts, displs, rtypes,
+                                 coll::PlanTransport::TwoSided);
+        plan.execute(src.data(), dst.data());
+        const StatCounters first = plan.counters();
         EXPECT_EQ(first.persistent_executes, 1u);
-        EXPECT_EQ(first.engine_builds, 0u);   // all peers strided-specialized
+        EXPECT_EQ(first.engine_builds, 0u);   // strided-specialized
         EXPECT_GT(first.scratch_allocs, 0u);  // plan-time pack buffers
         EXPECT_GT(first.plan_hits, 0u);
 
-        sc.execute(src, dst, ScatterBackend::DatatypeOptimized);
-        sc.execute(src, dst, ScatterBackend::DatatypeOptimized);
-        const StatCounters steady = plan->counters();
+        plan.execute(src.data(), dst.data());
+        plan.execute(src.data(), dst.data());
+        const StatCounters steady = plan.counters();
         EXPECT_EQ(steady.persistent_executes, 3u);
         EXPECT_EQ(steady.engine_builds, first.engine_builds);
         EXPECT_EQ(steady.scratch_allocs, first.scratch_allocs);  // zero new
@@ -258,9 +258,8 @@ TEST(PersistentScatter, StridedSteadyStateBuildsNoEnginesOrScratch) {
         EXPECT_EQ(comm.counters().persistent_executes, 3u);
 
         // Correctness with fully reused buffers.
-        const int prev = (comm.rank() + kRanks - 1) % kRanks;
-        for (Index j = 0; j < kN; ++j) {
-            EXPECT_DOUBLE_EQ(dst.data()[j], static_cast<double>(prev * 2 * kN + 2 * j));
+        for (std::size_t j = 0; j < kN; ++j) {
+            EXPECT_DOUBLE_EQ(dst[j], static_cast<double>(left * 2 * kN + 2 * j));
         }
     });
 }

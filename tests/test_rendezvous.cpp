@@ -138,11 +138,9 @@ TEST(Rendezvous, ExactThirtyTwoKiBBoundaryPinnedAcrossLayers) {
             std::vector<Datatype> types(2, Datatype::byte());
             counts[static_cast<std::size_t>(peer)] = bytes;
             // The boundary under test is the two-sided eager/rendezvous
-            // freeze; pin the plan to it so RMA selection can't bypass the
-            // zero-copy machinery entirely.
-            coll::CollConfig cfg;
-            cfg.persistent_protocol = rt::Protocol::Rendezvous;
-            coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types, cfg);
+            // freeze; an RMA plan would bypass the zero-copy machinery.
+            coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types,
+                                     coll::PlanTransport::TwoSided);
             std::vector<std::uint8_t> sendbuf(bytes, static_cast<std::uint8_t>(c.rank() + 1));
             std::vector<std::uint8_t> recvbuf(bytes, 0);
             plan.execute(sendbuf.data(), recvbuf.data());
@@ -470,41 +468,44 @@ TEST(Rendezvous, IsendCompletesInlineWhenReceivePosted) {
 TEST(Rendezvous, LargeStridedPlanCorrectUnderFaultMatrix) {
     // A large strided persistent exchange with the rendezvous threshold
     // pinned to 1 byte must deliver exact blocks under an active
-    // SchedulePolicy, whichever transport the plan lowered to.
+    // SchedulePolicy, on either transport.
     constexpr std::size_t kBlocks = 2048;
     constexpr std::size_t kElems = 16;
-    for (std::uint64_t seed : {7ull, 99ull}) {
-        World w(2);
-        w.set_schedule(SchedulePolicy::perturb(seed, 2));
-        w.run([&](Comm& c) {
-            c.set_rendezvous_threshold(1);
-            const auto n = static_cast<std::size_t>(c.size());
-            const int peer = 1 - c.rank();
-            auto block = Datatype::contiguous(kElems, Datatype::float64());
-            auto strided = Datatype::vector(kBlocks, 1, 2, block);
-            std::vector<double> src(kBlocks * kElems * 2);
-            for (std::size_t i = 0; i < src.size(); ++i) {
-                src[i] = static_cast<double>(i % 353);
-            }
-            std::vector<double> dst(kBlocks * kElems, -1.0);
-            std::vector<std::size_t> scounts(n, 0), rcounts(n, 0);
-            std::vector<std::ptrdiff_t> sdispls(n, 0), rdispls(n, 0);
-            std::vector<Datatype> stypes(n, Datatype::byte()), rtypes(n, Datatype::byte());
-            scounts[static_cast<std::size_t>(peer)] = 1;
-            stypes[static_cast<std::size_t>(peer)] = strided;
-            rcounts[static_cast<std::size_t>(peer)] = kBlocks * kElems;
-            rtypes[static_cast<std::size_t>(peer)] = Datatype::float64();
-            coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes);
-            plan.execute(src.data(), dst.data());
-            for (std::size_t b = 0; b < kBlocks; ++b) {
-                for (std::size_t e = 0; e < kElems; ++e) {
-                    ASSERT_DOUBLE_EQ(dst[b * kElems + e],
-                                     static_cast<double>((b * kElems * 2 + e) % 353))
-                        << "block " << b << " elem " << e;
+    for (auto transport : {coll::PlanTransport::TwoSided, coll::PlanTransport::Rma}) {
+        for (std::uint64_t seed : {7ull, 99ull}) {
+            World w(2);
+            w.set_schedule(SchedulePolicy::perturb(seed, 2));
+            w.run([&](Comm& c) {
+                c.set_rendezvous_threshold(1);
+                const auto n = static_cast<std::size_t>(c.size());
+                const int peer = 1 - c.rank();
+                auto block = Datatype::contiguous(kElems, Datatype::float64());
+                auto strided = Datatype::vector(kBlocks, 1, 2, block);
+                std::vector<double> src(kBlocks * kElems * 2);
+                for (std::size_t i = 0; i < src.size(); ++i) {
+                    src[i] = static_cast<double>(i % 353);
                 }
-            }
-            c.barrier();
-        });
+                std::vector<double> dst(kBlocks * kElems, -1.0);
+                std::vector<std::size_t> scounts(n, 0), rcounts(n, 0);
+                std::vector<std::ptrdiff_t> sdispls(n, 0), rdispls(n, 0);
+                std::vector<Datatype> stypes(n, Datatype::byte()), rtypes(n, Datatype::byte());
+                scounts[static_cast<std::size_t>(peer)] = 1;
+                stypes[static_cast<std::size_t>(peer)] = strided;
+                rcounts[static_cast<std::size_t>(peer)] = kBlocks * kElems;
+                rtypes[static_cast<std::size_t>(peer)] = Datatype::float64();
+                coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes,
+                                         transport);
+                plan.execute(src.data(), dst.data());
+                for (std::size_t b = 0; b < kBlocks; ++b) {
+                    for (std::size_t e = 0; e < kElems; ++e) {
+                        ASSERT_DOUBLE_EQ(dst[b * kElems + e],
+                                         static_cast<double>((b * kElems * 2 + e) % 353))
+                            << "block " << b << " elem " << e;
+                    }
+                }
+                c.barrier();
+            });
+        }
     }
 }
 

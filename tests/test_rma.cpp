@@ -17,12 +17,14 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "coll/persistent.hpp"
+#include "petsckit/dmda.hpp"
+#include "petsckit/mat.hpp"
 #include "petsckit/scatter.hpp"
 #include "runtime/comm.hpp"
-#include "runtime/protocol.hpp"
 #include "runtime/win.hpp"
 
 namespace {
@@ -46,12 +48,6 @@ std::uint8_t mix(std::uint64_t seed, int src, int dst, std::size_t i) {
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdull;
     return static_cast<std::uint8_t>(x >> 56);
-}
-
-coll::CollConfig proto_cfg(rt::Protocol p) {
-    coll::CollConfig cfg;
-    cfg.persistent_protocol = p;
-    return cfg;
 }
 
 // ---------------------------------------------------------------------------
@@ -197,38 +193,7 @@ TEST(Win, PutExchangeBitIdenticalToTwoSided) {
 // ---------------------------------------------------------------------------
 // put-based persistent plans
 
-TEST(RmaPlan, ForcedSelectionAndConfigFallback) {
-    World w(2);
-    w.run([&](Comm& c) {
-        const auto n = static_cast<std::size_t>(c.size());
-        const int peer = 1 - c.rank();
-        std::vector<std::size_t> counts(n, 0);
-        std::vector<std::ptrdiff_t> displs(n, 0);
-        std::vector<Datatype> types(n, Datatype::byte());
-        counts[static_cast<std::size_t>(peer)] = 4096;
-        std::vector<std::uint8_t> src(4096, static_cast<std::uint8_t>(c.rank() + 1));
-        std::vector<std::uint8_t> dst(4096, 0);
-
-        // Rma selection follows the compile/env gate; the plan stays
-        // correct either way (compiled-out forces the two-sided lowering).
-        coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types,
-                                 proto_cfg(rt::Protocol::Rma));
-        EXPECT_EQ(plan.rma(), rt::rma_selection_enabled());
-        plan.execute(src.data(), dst.data());
-        for (std::size_t i = 0; i < dst.size(); ++i) {
-            ASSERT_EQ(dst[i], static_cast<std::uint8_t>(peer + 1));
-        }
-
-        // Eager/Rendezvous force two-sided regardless of the gate.
-        coll::AlltoallwPlan two(c, counts, displs, types, counts, displs, types,
-                                proto_cfg(rt::Protocol::Rendezvous));
-        EXPECT_FALSE(two.rma());
-        c.barrier();
-    });
-}
-
 TEST(RmaPlan, ScheduleShapePinned) {
-    if (!rt::rma_selection_enabled()) GTEST_SKIP() << "RMA selection gated off";
     World w(4);
     w.run([&](Comm& c) {
         const auto n = static_cast<std::size_t>(c.size());
@@ -247,7 +212,7 @@ TEST(RmaPlan, ScheduleShapePinned) {
         rdispls[static_cast<std::size_t>((r + 2) % 4)] = 512;
         std::vector<std::uint8_t> src(8704, 1), dst(8704, 0);
         coll::AlltoallwPlan plan(c, counts, displs, types, rcounts, rdispls, types,
-                                 proto_cfg(rt::Protocol::Rma));
+                                 coll::PlanTransport::Rma);
         ASSERT_TRUE(plan.rma());
         plan.execute(src.data(), dst.data());
 
@@ -283,7 +248,6 @@ TEST(RmaPlan, ScheduleShapePinned) {
 }
 
 TEST(RmaPlan, SteadyStateMovesZeroTwoSidedMessages) {
-    if (!rt::rma_selection_enabled()) GTEST_SKIP() << "RMA selection gated off";
     World w(4);
     w.run([&](Comm& c) {
         const auto n = static_cast<std::size_t>(c.size());
@@ -296,7 +260,7 @@ TEST(RmaPlan, SteadyStateMovesZeroTwoSidedMessages) {
         rcounts[static_cast<std::size_t>((r + 3) % 4)] = 2048;
         std::vector<std::uint8_t> src(2048, static_cast<std::uint8_t>(r)), dst(2048, 0);
         coll::AlltoallwPlan plan(c, counts, displs, types, rcounts, displs, types,
-                                 proto_cfg(rt::Protocol::Rma));
+                                 coll::PlanTransport::Rma);
         ASSERT_TRUE(plan.rma());
 
         c.reset_stats();
@@ -318,40 +282,11 @@ TEST(RmaPlan, SteadyStateMovesZeroTwoSidedMessages) {
     });
 }
 
-// Auto selection is a pure function of the config and the env gate: a
-// plan rebuilt for the same shape lowers to RMA again.
-TEST(RmaPlan, FrozenAutoSelectionStableAcrossReruns) {
-    if (!rt::rma_selection_enabled()) GTEST_SKIP() << "RMA selection gated off";
-
-    auto build_rma = [](World& w) {
-        bool rma = false;
-        w.run([&](Comm& c) {
-            const auto n = static_cast<std::size_t>(c.size());
-            const int peer = 1 - c.rank();
-            std::vector<std::size_t> counts(n, 0);
-            std::vector<std::ptrdiff_t> displs(n, 0);
-            std::vector<Datatype> types(n, Datatype::byte());
-            counts[static_cast<std::size_t>(peer)] = 16384;
-            std::vector<std::uint8_t> src(16384, 0x5a), dst(16384, 0);
-            coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types);
-            plan.execute(src.data(), dst.data());
-            EXPECT_EQ(dst[0], 0x5a);
-            if (c.rank() == 0) rma = plan.rma();
-            c.barrier();
-        });
-        return rma;
-    };
-
-    World w(2);
-    EXPECT_TRUE(build_rma(w));  // Auto with the gate open selects RMA
-    EXPECT_TRUE(build_rma(w));  // and again on the rebuild
-}
-
 // Full perturbation matrix: 8 seeds x thresholds {0, 32 KiB, never} over a
 // mixed strided/contiguous/self/zero-edge pattern, RMA plan checked
 // bit-identically against a two-sided twin on every execute. The
-// rendezvous threshold steers the offset exchange and the twin; the same
-// value fed to small_msg_threshold steers the put binning.
+// rendezvous threshold steers the offset exchange and the twin's frozen
+// eager/rendezvous decisions.
 TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
     constexpr int kRanks = 4;
     constexpr std::size_t kStride = 64;   // doubles picked by the strided type
@@ -402,15 +337,12 @@ TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
                 rdispls[self] =
                     static_cast<std::ptrdiff_t>((kStride + kContig) * sizeof(double));
 
-                coll::CollConfig rma_cfg = proto_cfg(rt::Protocol::Rma);
-                rma_cfg.small_msg_threshold = thr;
-                coll::CollConfig two_cfg = proto_cfg(rt::Protocol::Rendezvous);
-                two_cfg.small_msg_threshold = thr == 0 ? 1 : thr;
                 coll::AlltoallwPlan rma_plan(c, scounts, sdispls, stypes, rcounts, rdispls,
-                                             rtypes, rma_cfg);
+                                             rtypes, coll::PlanTransport::Rma);
                 coll::AlltoallwPlan two_plan(c, scounts, sdispls, stypes, rcounts, rdispls,
-                                             rtypes, two_cfg);
-                EXPECT_EQ(rma_plan.rma(), rt::rma_selection_enabled());
+                                             rtypes, coll::PlanTransport::TwoSided);
+                EXPECT_TRUE(rma_plan.rma());
+                EXPECT_FALSE(two_plan.rma());
 
                 std::vector<double> rma_dst(kStride + kContig + kSelf, 0.0);
                 std::vector<double> two_dst(rma_dst.size(), 0.0);
@@ -432,11 +364,16 @@ TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
     }
 }
 
-TEST(RmaPlan, VecScatterRidesWindowWhenEnabled) {
+// Each library caller fixes the transport of the persistent plan it
+// builds: VecScatter's plans (and so MatAIJ's DatatypeOptimized ghost
+// scatter) ride the window; the DMDA ghost plan stays two-sided, because
+// a closing fence over the whole communicator would erase its overlap.
+TEST(PlanTransport, EachLibraryCallerFixesItsTransport) {
     constexpr int kRanks = 4;
     constexpr Index kN = 128;
     World w(kRanks);
     w.run([&](Comm& comm) {
+        // VecScatter: both directions' plans lower onto RMA.
         Vec src(comm, 2 * kN * kRanks);
         Vec dst(comm, kN * kRanks);
         for (Index i = 0; i < src.local_size(); ++i) {
@@ -450,16 +387,60 @@ TEST(RmaPlan, VecScatterRidesWindowWhenEnabled) {
             }
         }
         VecScatter sc(src, IndexSet::general(from), dst, IndexSet::general(to));
-        sc.set_persistent_protocol(rt::Protocol::Rma);
-        EXPECT_EQ(sc.persistent_protocol(), rt::Protocol::Rma);
-        for (int it = 0; it < 3; ++it) {
-            sc.execute(src, dst, ScatterBackend::DatatypeOptimized);
-        }
-        EXPECT_EQ(sc.forward_rma(), rt::rma_selection_enabled());
+        sc.execute(src, dst, ScatterBackend::DatatypeOptimized);
+        sc.execute_reverse(src, dst, ScatterBackend::DatatypeOptimized);
+        ASSERT_NE(sc.forward_plan(), nullptr);
+        ASSERT_NE(sc.reverse_plan(), nullptr);
+        EXPECT_TRUE(sc.forward_plan()->rma());
+        EXPECT_TRUE(sc.reverse_plan()->rma());
         const int prev = (comm.rank() + kRanks - 1) % kRanks;
         for (Index j = 0; j < kN; ++j) {
             EXPECT_DOUBLE_EQ(dst.data()[j], static_cast<double>(prev * 2 * kN + 2 * j));
         }
+
+        // MatAIJ's ghost gather is a VecScatter plan, so its matvec closes
+        // RMA epochs. Tridiagonal (2, -1, -1) times x = global index.
+        const Index n = 32;
+        auto layout = std::make_shared<const pk::Layout>(pk::Layout::uniform(n, kRanks));
+        pk::MatAIJ m(comm, layout);
+        for (Index r = m.row_range().begin; r < m.row_range().end; ++r) {
+            m.set_value(r, r, 2.0);
+            if (r > 0) m.set_value(r, r - 1, -1.0);
+            if (r < n - 1) m.set_value(r, r + 1, -1.0);
+        }
+        m.assemble(ScatterBackend::DatatypeOptimized);
+        Vec x(comm, n), y(comm, n);
+        for (Index i = x.range().begin; i < x.range().end; ++i) {
+            x.at_global(i) = static_cast<double>(i);
+        }
+        m.mult(x, y);  // compiles the ghost scatter's plan
+        comm.barrier();
+        comm.reset_stats();
+        m.mult(x, y);
+        const StatCounters mat = comm.counters();
+        EXPECT_EQ(mat.coll_rma_plan_executes, 1u);
+        EXPECT_EQ(mat.rt_rma_fences, 2u);
+        for (Index i = y.range().begin; i < y.range().end; ++i) {
+            const double want = i == 0 ? -1.0 : (i == n - 1 ? static_cast<double>(n) : 0.0);
+            EXPECT_DOUBLE_EQ(y.at_global(i), want) << "row " << i;
+        }
+
+        // DMDA: the ghost plan moves its slabs two-sided, no fence.
+        pk::DMDA da(comm, 3, pk::GridSize{16, 16, 8}, 1, 1, pk::Stencil::Box);
+        Vec g = da.create_global();
+        auto local = da.create_local();
+        da.global_to_local(g, local);  // compiles the plan
+        comm.barrier();
+        comm.reset_stats();
+        da.global_to_local(g, local);
+        const StatCounters ghost = comm.counters();
+        EXPECT_EQ(ghost.persistent_executes, 1u);
+        EXPECT_EQ(ghost.coll_rma_plan_executes, 0u);
+        EXPECT_EQ(ghost.rt_rma_fences, 0u);
+        EXPECT_GT(ghost.rt_lane_fast_deliveries + ghost.rt_lane_overflow_deliveries +
+                      ghost.rt_zero_copy_msgs,
+                  0u);
+        comm.barrier();
     });
 }
 
@@ -483,7 +464,7 @@ TEST(RmaStress, OversubscribedRepeatedExecutesNoLivelock) {
         rcounts[static_cast<std::size_t>((r + kRanks - 1) % kRanks)] = kBytes;
         std::vector<std::uint8_t> src(kBytes), dst(kBytes, 0);
         coll::AlltoallwPlan plan(c, scounts, displs, types, rcounts, displs, types,
-                                 proto_cfg(rt::Protocol::Rma));
+                                 coll::PlanTransport::Rma);
         for (int it = 0; it < 6; ++it) {
             for (std::size_t i = 0; i < kBytes; ++i) {
                 src[i] = mix(static_cast<std::uint64_t>(it), r, 0, i);

@@ -35,7 +35,7 @@ TEST(Runtime, SingleRankWorld) {
     EXPECT_EQ(visits, 1);
 }
 
-// The parser behind the runtime escape hatches (NNCOMM_SIMD, NNCOMM_RMA).
+// The parser behind the runtime escape hatch (NNCOMM_SIMD).
 TEST(Runtime, EnvParser) {
     EXPECT_TRUE(env_flag_enabled(nullptr));
     EXPECT_TRUE(env_flag_enabled("ON"));

@@ -560,8 +560,9 @@ TEST_P(PerturbedSeed, EmptyVecScatterEveryBackend) {
     });
 }
 
-// An AlltoallwPlan whose counts are all zero compiles to an empty schedule;
-// repeated executes must complete immediately under perturbation.
+// An AlltoallwPlan whose counts are all zero compiles to an empty schedule
+// (two-sided) or to bare fences (RMA); repeated executes must complete
+// immediately under perturbation.
 TEST_P(PerturbedSeed, AllZeroAlltoallwPlan) {
     const int n = 4;
     World w(n);
@@ -572,12 +573,15 @@ TEST_P(PerturbedSeed, AllZeroAlltoallwPlan) {
         std::vector<std::size_t> counts(un, 0);
         std::vector<std::ptrdiff_t> displs(un, 0);
         std::vector<Datatype> types(un, Datatype::int32());
-        coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types);
-        for (int exec = 0; exec < 3; ++exec) {
-            plan.execute(nullptr, nullptr);
+        for (auto transport : {coll::PlanTransport::TwoSided, coll::PlanTransport::Rma}) {
+            coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types,
+                                     transport);
+            for (int exec = 0; exec < 3; ++exec) {
+                plan.execute(nullptr, nullptr);
+            }
+            EXPECT_EQ(plan.counters().persistent_executes, 3u);
+            EXPECT_EQ(plan.counters().bytes_packed, 0u);
         }
-        EXPECT_EQ(plan.counters().persistent_executes, 3u);
-        EXPECT_EQ(plan.counters().bytes_packed, 0u);
     });
 }
 
@@ -686,26 +690,29 @@ TEST_P(PerturbedSeed, PersistentPlanRepeatedExecutes) {
             stotal += scounts[up];
             rtotal += rcounts[up];
         }
-        coll::AlltoallwPlan plan(c, scounts, sdispls, types, rcounts, rdispls, types);
-        std::vector<std::int32_t> sendbuf(stotal), recvbuf(rtotal);
-        // Repeated executes with changing payloads: a straggler from
-        // execute k must never satisfy execute k+1's receives.
-        for (int exec = 0; exec < 5; ++exec) {
-            for (int p = 0; p < n; ++p) {
-                const auto up = static_cast<std::size_t>(p);
-                for (std::size_t i = 0; i < scounts[up]; ++i) {
-                    sendbuf[static_cast<std::size_t>(sdispls[up]) / 4 + i] =
-                        exec * 10000 + c.rank() * 100 + p * 10 + static_cast<int>(i);
+        for (auto transport : {coll::PlanTransport::TwoSided, coll::PlanTransport::Rma}) {
+            coll::AlltoallwPlan plan(c, scounts, sdispls, types, rcounts, rdispls, types,
+                                     transport);
+            std::vector<std::int32_t> sendbuf(stotal), recvbuf(rtotal);
+            // Repeated executes with changing payloads: a straggler from
+            // execute k must never satisfy execute k+1's receives.
+            for (int exec = 0; exec < 5; ++exec) {
+                for (int p = 0; p < n; ++p) {
+                    const auto up = static_cast<std::size_t>(p);
+                    for (std::size_t i = 0; i < scounts[up]; ++i) {
+                        sendbuf[static_cast<std::size_t>(sdispls[up]) / 4 + i] =
+                            exec * 10000 + c.rank() * 100 + p * 10 + static_cast<int>(i);
+                    }
                 }
-            }
-            std::fill(recvbuf.begin(), recvbuf.end(), -1);
-            plan.execute(sendbuf.data(), recvbuf.data());
-            for (int p = 0; p < n; ++p) {
-                const auto up = static_cast<std::size_t>(p);
-                for (std::size_t i = 0; i < rcounts[up]; ++i) {
-                    EXPECT_EQ(recvbuf[static_cast<std::size_t>(rdispls[up]) / 4 + i],
-                              exec * 10000 + p * 100 + c.rank() * 10 + static_cast<int>(i))
-                        << "execute " << exec << " from rank " << p;
+                std::fill(recvbuf.begin(), recvbuf.end(), -1);
+                plan.execute(sendbuf.data(), recvbuf.data());
+                for (int p = 0; p < n; ++p) {
+                    const auto up = static_cast<std::size_t>(p);
+                    for (std::size_t i = 0; i < rcounts[up]; ++i) {
+                        EXPECT_EQ(recvbuf[static_cast<std::size_t>(rdispls[up]) / 4 + i],
+                                  exec * 10000 + p * 100 + c.rank() * 10 + static_cast<int>(i))
+                            << "execute " << exec << " from rank " << p;
+                    }
                 }
             }
         }
