@@ -1,5 +1,6 @@
 #include "coll/persistent.hpp"
 
+#include <memory>
 #include <vector>
 
 #include "coll/util.hpp"
@@ -120,8 +121,11 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             my_offsets[static_cast<std::size_t>(p.rank)] = win_bytes;
             win_bytes += p.bytes;
         }
-        std::vector<std::byte> region(static_cast<std::size_t>(win_bytes));
-        rt::Win win = rt::Win::create(comm, region.data(), region.size());
+        // Uninitialized: a peer's put fills each source's block before the
+        // closing fence, and only then is the block read.
+        auto region = std::make_unique_for_overwrite<std::byte[]>(
+            static_cast<std::size_t>(win_bytes));
+        rt::Win win = rt::Win::create(comm, region.get(), static_cast<std::size_t>(win_bytes));
 
         TagSpace xspace(comm, kPersistentTagBase);
         const int xtag = xspace.tag(kRmaOffsetExchange);

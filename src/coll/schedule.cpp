@@ -564,7 +564,7 @@ struct CollRequest::State {
     std::byte token{};  ///< zero-byte send/recv landing pad
 
     /// One-sided plans only: this rank's exposed region and its window.
-    std::vector<std::byte> win_region;
+    std::unique_ptr<std::byte[]> win_region;
     rt::Win win;
 
     StatCounters step;
@@ -596,8 +596,8 @@ void CollRequest::set_pack_engine(dt::EngineKind kind) {
     st_->engine_kind_set = true;
 }
 void CollRequest::invalidate_engines() { st_->engines.clear(); }
-void CollRequest::own_window(std::vector<std::byte> region, rt::Win win) {
-    st_->win_region = std::move(region);  // moving keeps the exposed address
+void CollRequest::own_window(std::unique_ptr<std::byte[]> region, rt::Win win) {
+    st_->win_region = std::move(region);
     st_->win = std::move(win);
 }
 void CollRequest::inject(const StatCounters& extra) { st_->pending_setup += extra; }

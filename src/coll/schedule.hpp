@@ -287,7 +287,7 @@ private:
     /// Takes ownership of the rt::Win (and the region it exposes) that
     /// Put/Fence/window-Unpack ops operate on. Required before start()
     /// when the schedule contains one-sided ops.
-    void own_window(std::vector<std::byte> region, rt::Win win);
+    void own_window(std::unique_ptr<std::byte[]> region, rt::Win win);
     /// Folds extra statistics into the next execution's step (persistent
     /// plans inject persistent_executes / cache hits).
     void inject(const StatCounters& extra);

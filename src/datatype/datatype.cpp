@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
-#include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "datatype/flatten.hpp"
@@ -23,7 +23,9 @@ struct TypeNode {
     std::size_t count = 0;
     std::size_t blocklength = 0;        // Vector/Hvector/IndexedBlock
     std::ptrdiff_t stride_bytes = 0;    // Hvector (Vector lowered to bytes)
-    std::vector<std::size_t> blocklengths;      // Indexed/Hindexed/Struct
+    // Struct, and Indexed* over a noncontiguous child; an Indexed* node
+    // over a contiguous child keeps its blocks only in its born-flat table.
+    std::vector<std::size_t> blocklengths;
     std::vector<std::ptrdiff_t> displs_bytes;   // byte displacements
 
     // Cached layout properties (computed at construction).
@@ -32,13 +34,14 @@ struct TypeNode {
     std::ptrdiff_t ub = 0;  // extent = ub - lb
     bool contiguous = false;
 
-    // Flattened form, computed on demand exactly once.
+    // Flattened form: set by the constructor when the node is born flat,
+    // otherwise computed on the first flat() call.
     mutable std::once_flag flat_once;
-    mutable std::unique_ptr<FlatType> flat;
+    mutable std::optional<FlatType> flat;
 
-    // Compiled pack plan, resolved through the global PlanCache once.
+    // Compiled pack plan, compiled from `flat` on the first plan() call.
     mutable std::once_flag plan_once;
-    mutable std::shared_ptr<const PackPlan> plan;
+    mutable std::optional<PackPlan> plan;
 
     std::ptrdiff_t extent() const { return ub - lb; }
 };
@@ -98,12 +101,11 @@ void emit_blocks(const Datatype& t, std::ptrdiff_t base, FlatBuilder& b) {
         case TypeClass::Indexed:
         case TypeClass::Hindexed:
         case TypeClass::IndexedBlock:
-            for (std::size_t i = 0; i < n.blocklengths.size(); ++i) {
-                const std::ptrdiff_t start = base + n.displs_bytes[i];
-                if (n.child.is_contiguous()) {
-                    b.add(start + n.child.lb(), n.blocklengths[i] * n.child.size());
-                } else {
-                    emit_child_instances(n.child, start, n.blocklengths[i], b);
+            if (n.child.is_contiguous()) {  // born flat
+                for (const FlatBlock& blk : n.flat->blocks()) b.add(base + blk.offset, blk.length);
+            } else {
+                for (std::size_t i = 0; i < n.blocklengths.size(); ++i) {
+                    emit_child_instances(n.child, base + n.displs_bytes[i], n.blocklengths[i], b);
                 }
             }
             break;
@@ -154,6 +156,10 @@ void finish_layout(TypeNode& n) {
 
 using detail::TypeNode;
 
+void FlatBuilder::too_fragmented() {
+    NNCOMM_CHECK_MSG(false, "datatype too fragmented to flatten");
+}
+
 // ---------------------------------------------------------------------------
 // accessors
 
@@ -185,16 +191,17 @@ std::size_t Datatype::block_count() const { return flat().block_count(); }
 const FlatType& Datatype::flat() const {
     const TypeNode& n = *raw(*this);
     std::call_once(n.flat_once, [&] {
+        if (n.flat) return;  // born flat
         FlatBuilder b;
         detail::emit_blocks(*this, 0, b);
-        n.flat = std::make_unique<FlatType>(b.take(), n.extent(), n.lb);
+        n.flat.emplace(std::move(b).finish(n.extent(), n.lb));
     });
     return *n.flat;
 }
 
 const PackPlan& Datatype::plan() const {
     const TypeNode& n = *raw(*this);
-    std::call_once(n.plan_once, [&] { n.plan = PlanCache::instance().get(*this); });
+    std::call_once(n.plan_once, [&] { n.plan.emplace(PackPlan::compile(flat())); });
     return *n.plan;
 }
 
@@ -283,25 +290,45 @@ Datatype Datatype::hvector(std::size_t count, std::size_t blocklength,
 }
 
 namespace {
-Datatype make_indexed_bytes(TypeClass cls, std::vector<std::size_t> blocklengths,
-                            std::vector<std::ptrdiff_t> displs_bytes, const Datatype& oldtype) {
+// Indexed, Hindexed and IndexedBlock: block i is `len(i)` elements at byte
+// displacement `displ(i)`. Over a contiguous element the node is born flat:
+// the one loop that reads the arguments builds the flattened table, and the
+// node keeps no other copy of them.
+template <typename Len, typename Displ>
+Datatype make_indexed(TypeClass cls, std::size_t count, Len len, Displ displ,
+                      const Datatype& oldtype) {
     NNCOMM_CHECK(oldtype.valid());
-    NNCOMM_CHECK_MSG(blocklengths.size() == displs_bytes.size(),
-                     "indexed: blocklengths/displacements length mismatch");
     auto n = detail::new_node(cls);
     n->child = oldtype;
-    n->blocklengths = std::move(blocklengths);
-    n->displs_bytes = std::move(displs_bytes);
-    n->count = n->blocklengths.size();
+    n->count = count;
+    if (oldtype.is_contiguous()) {
+        // Born flat. A contiguous element has lb 0 and extent == size, so
+        // the type's bounds are its table's data bounds.
+        const std::size_t esize = oldtype.size();
+        FlatBuilder flat;
+        flat.reserve(count);
+        flat.append(count, [=](std::size_t i) { return FlatBlock{displ(i), len(i) * esize}; });
+        n->size = flat.size();
+        n->lb = flat.data_lb();
+        n->ub = flat.data_ub();
+        detail::finish_layout(*n);
+        n->flat.emplace(std::move(flat).finish(n->extent(), n->lb));
+        return DatatypeAccess::wrap(std::move(n));
+    }
+    n->blocklengths.reserve(count);
+    n->displs_bytes.reserve(count);
     std::size_t total = 0;
     std::ptrdiff_t lo = 0, hi = 0;
     bool first = true;
-    for (std::size_t i = 0; i < n->count; ++i) {
-        total += n->blocklengths[i] * oldtype.size();
-        if (n->blocklengths[i] == 0) continue;
-        const std::ptrdiff_t b0 = n->displs_bytes[i] + oldtype.lb();
-        const std::ptrdiff_t b1 =
-            b0 + static_cast<std::ptrdiff_t>(n->blocklengths[i]) * oldtype.extent();
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t bl = len(i);
+        const std::ptrdiff_t d = displ(i);
+        n->blocklengths.push_back(bl);
+        n->displs_bytes.push_back(d);
+        total += bl * oldtype.size();
+        if (bl == 0) continue;
+        const std::ptrdiff_t b0 = d + oldtype.lb();
+        const std::ptrdiff_t b1 = b0 + static_cast<std::ptrdiff_t>(bl) * oldtype.extent();
         if (first) {
             lo = b0;
             hi = b1;
@@ -322,34 +349,31 @@ Datatype make_indexed_bytes(TypeClass cls, std::vector<std::size_t> blocklengths
 Datatype Datatype::indexed(std::span<const std::size_t> blocklengths,
                            std::span<const std::ptrdiff_t> displacements,
                            const Datatype& oldtype) {
-    std::vector<std::ptrdiff_t> displs_bytes(displacements.size());
-    for (std::size_t i = 0; i < displacements.size(); ++i) {
-        displs_bytes[i] = displacements[i] * oldtype.extent();
-    }
-    return make_indexed_bytes(TypeClass::Indexed,
-                              std::vector<std::size_t>(blocklengths.begin(), blocklengths.end()),
-                              std::move(displs_bytes), oldtype);
+    NNCOMM_CHECK_MSG(blocklengths.size() == displacements.size(),
+                     "indexed: blocklengths/displacements length mismatch");
+    const std::ptrdiff_t ext = oldtype.extent();
+    return make_indexed(
+        TypeClass::Indexed, blocklengths.size(), [=](std::size_t i) { return blocklengths[i]; },
+        [=](std::size_t i) { return displacements[i] * ext; }, oldtype);
 }
 
 Datatype Datatype::hindexed(std::span<const std::size_t> blocklengths,
                             std::span<const std::ptrdiff_t> displacements_bytes,
                             const Datatype& oldtype) {
-    return make_indexed_bytes(
-        TypeClass::Hindexed, std::vector<std::size_t>(blocklengths.begin(), blocklengths.end()),
-        std::vector<std::ptrdiff_t>(displacements_bytes.begin(), displacements_bytes.end()),
-        oldtype);
+    NNCOMM_CHECK_MSG(blocklengths.size() == displacements_bytes.size(),
+                     "indexed: blocklengths/displacements length mismatch");
+    return make_indexed(
+        TypeClass::Hindexed, blocklengths.size(), [=](std::size_t i) { return blocklengths[i]; },
+        [=](std::size_t i) { return displacements_bytes[i]; }, oldtype);
 }
 
 Datatype Datatype::indexed_block(std::size_t blocklength,
                                  std::span<const std::ptrdiff_t> displacements,
                                  const Datatype& oldtype) {
-    std::vector<std::size_t> lens(displacements.size(), blocklength);
-    std::vector<std::ptrdiff_t> displs_bytes(displacements.size());
-    for (std::size_t i = 0; i < displacements.size(); ++i) {
-        displs_bytes[i] = displacements[i] * oldtype.extent();
-    }
-    return make_indexed_bytes(TypeClass::IndexedBlock, std::move(lens), std::move(displs_bytes),
-                              oldtype);
+    const std::ptrdiff_t ext = oldtype.extent();
+    return make_indexed(
+        TypeClass::IndexedBlock, displacements.size(), [=](std::size_t) { return blocklength; },
+        [=](std::size_t i) { return displacements[i] * ext; }, oldtype);
 }
 
 Datatype Datatype::struct_type(std::span<const std::size_t> blocklengths,
@@ -476,33 +500,6 @@ std::string Datatype::describe() const {
             break;
     }
     return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// FlatType
-
-FlatType::FlatType(std::vector<FlatBlock> blocks, std::ptrdiff_t extent, std::ptrdiff_t lb)
-    : blocks_(std::move(blocks)), extent_(extent), lb_(lb) {
-    prefix_.reserve(blocks_.size() + 1);
-    prefix_.push_back(0);
-    max_block_ = 0;
-    min_block_ = blocks_.empty() ? 0 : blocks_.front().length;
-    bool first = true;
-    for (const FlatBlock& b : blocks_) {
-        size_ += b.length;
-        prefix_.push_back(prefix_.back() + b.length);
-        max_block_ = std::max(max_block_, b.length);
-        min_block_ = std::min(min_block_, b.length);
-        const std::ptrdiff_t end = b.offset + static_cast<std::ptrdiff_t>(b.length);
-        if (first) {
-            data_lb_ = b.offset;
-            data_ub_ = end;
-            first = false;
-        } else {
-            data_lb_ = std::min(data_lb_, b.offset);
-            data_ub_ = std::max(data_ub_, end);
-        }
-    }
 }
 
 }  // namespace nncomm::dt

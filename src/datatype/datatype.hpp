@@ -106,13 +106,15 @@ public:
     /// Human-readable structure (for logging/tests).
     std::string describe() const;
 
-    /// Flattened block-stream form; computed once and cached on the node.
+    /// Flattened block-stream form, held by the node: built by the
+    /// constructor of an indexed type over a contiguous element (born flat),
+    /// otherwise computed on the first call.
     const FlatType& flat() const;
 
     /// Compiled pack plan (plan.hpp): kernel classification + specialized
-    /// copy parameters. Resolved through the process-wide PlanCache on
-    /// first use and memoized on the node, so repeated sends of the same
-    /// type pay no lookup and structurally equal types share one plan.
+    /// copy parameters. Compiled from flat() on the first call and kept on
+    /// the node, so every later call, from any thread, returns that one
+    /// plan.
     const PackPlan& plan() const;
 
     friend bool operator==(const Datatype& a, const Datatype& b) { return a.node_ == b.node_; }

@@ -13,10 +13,11 @@ PackEngine::PackEngine(const void* base, const Datatype& type, std::size_t count
     NNCOMM_CHECK_MSG(config.pipeline_chunk > 0, "pipeline chunk must be > 0");
     NNCOMM_CHECK_MSG(config.lookahead_blocks > 0, "look-ahead window must be > 0");
     total_bytes_ = static_cast<std::uint64_t>(type.size()) * count;
-    plan_ = &type_.plan();  // commit-time compile / cache lookup
+    plan_ = &type_.plan();  // compiled on the type's first use
     ++counters_.engine_builds;
     ++counters_.scratch_allocs;
-    scratch_.resize(config.pipeline_chunk);
+    // Every chunk packs into the scratch before it is read: no zero fill.
+    scratch_ = std::make_unique_for_overwrite<std::byte[]>(config.pipeline_chunk);
 }
 
 void PackEngine::reset(const void* base) {
@@ -63,14 +64,14 @@ bool PackEngine::plan_chunk(ChunkView& out) {
     {
         PhaseScope scope(timers_, Phase::Pack);
         plan_->pack_range(type_.flat(), base_, count_, bytes_done_,
-                          std::span<std::byte>(scratch_.data(), budget), &counters_);
+                          std::span<std::byte>(scratch_.get(), budget), &counters_);
     }
     counters_.bytes_packed += budget;
     counters_.blocks_packed +=
         (bytes_done_ % block_len + budget + block_len - 1) / block_len;
     out.dense = false;
     out.iov = {};
-    out.packed = std::span<const std::byte>(scratch_.data(), budget);
+    out.packed = std::span<const std::byte>(scratch_.get(), budget);
     out.bytes = budget;
     bytes_done_ += budget;
     return true;
@@ -140,7 +141,7 @@ bool SingleContextEngine::next_chunk(ChunkView& out) {
         {
             PhaseScope scope(timers_, Phase::Pack);
             const std::size_t produced =
-                pack_bytes(base_, cursor_, std::span<std::byte>(scratch_.data(), la_bytes));
+                pack_bytes(base_, cursor_, std::span<std::byte>(scratch_.get(), la_bytes));
             NNCOMM_CHECK(produced == la_bytes);
         }
         ++counters_.sparse_chunks;
@@ -148,7 +149,7 @@ bool SingleContextEngine::next_chunk(ChunkView& out) {
         counters_.bytes_packed += la_bytes;
         out.dense = false;
         out.iov = {};
-        out.packed = std::span<const std::byte>(scratch_.data(), la_bytes);
+        out.packed = std::span<const std::byte>(scratch_.get(), la_bytes);
         out.bytes = la_bytes;
     }
     bytes_done_ += la_bytes;
@@ -223,11 +224,11 @@ bool DualContextEngine::next_chunk(ChunkView& out) {
         PhaseScope scope(timers_, Phase::Pack);
         ++counters_.sparse_chunks;
         chunk_bytes =
-            pack_bytes(base_, pack_ctx_, std::span<std::byte>(scratch_.data(), budget));
+            pack_bytes(base_, pack_ctx_, std::span<std::byte>(scratch_.get(), budget));
         counters_.bytes_packed += chunk_bytes;
         out.dense = false;
         out.iov = {};
-        out.packed = std::span<const std::byte>(scratch_.data(), chunk_bytes);
+        out.packed = std::span<const std::byte>(scratch_.get(), chunk_bytes);
         out.bytes = chunk_bytes;
     }
     bytes_done_ += chunk_bytes;

@@ -119,10 +119,10 @@ protected:
     Datatype type_;
     std::size_t count_;
     EngineConfig config_;
-    const PackPlan* plan_ = nullptr;  ///< owned by the type's node / PlanCache
+    const PackPlan* plan_ = nullptr;  ///< owned by type_'s node
     std::uint64_t total_bytes_ = 0;
     std::uint64_t bytes_done_ = 0;
-    std::vector<std::byte> scratch_;  // intermediate pack buffer
+    std::unique_ptr<std::byte[]> scratch_;  // intermediate pack buffer, pipeline_chunk bytes
     std::vector<std::pair<const std::byte*, std::size_t>> iov_;
     StatCounters counters_;
     PhaseTimers timers_;

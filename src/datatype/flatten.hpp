@@ -1,8 +1,11 @@
 // Flattened datatype representation: a stream of maximal contiguous blocks.
 //
 // The pack engines (engine.hpp) do not walk the recursive type tree during
-// data movement; at type-commit time the tree is flattened once into an
-// ordered array of (offset, length) blocks for a single type instance.
+// data movement; the tree is flattened once into an ordered array of
+// (offset, length) blocks for a single type instance. Indexed types over a
+// contiguous element are born flat (their constructor fills the table in
+// the loop that reads its arguments); every other type flattens on first
+// use.
 // Adjacent blocks are merged, so a "contiguous of 3 doubles" leaf becomes
 // one 24-byte block and a fully dense type becomes exactly one block.
 //
@@ -13,6 +16,7 @@
 // quadratic re-search are counted in.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -27,11 +31,12 @@ struct FlatBlock {
     std::size_t length = 0;     ///< bytes, > 0
 };
 
-/// Immutable flattened form of one datatype instance.
+class FlatBuilder;
+
+/// Immutable flattened form of one datatype instance. Built only through
+/// FlatBuilder, which fills every field while it appends the blocks.
 class FlatType {
 public:
-    FlatType(std::vector<FlatBlock> blocks, std::ptrdiff_t extent, std::ptrdiff_t lb);
-
     const std::vector<FlatBlock>& blocks() const { return blocks_; }
     std::size_t block_count() const { return blocks_.size(); }
     std::size_t size() const { return size_; }          ///< total data bytes
@@ -62,6 +67,9 @@ public:
     const std::vector<std::uint64_t>& prefix_bytes() const { return prefix_; }
 
 private:
+    friend class FlatBuilder;
+    FlatType() = default;
+
     std::vector<FlatBlock> blocks_;
     std::vector<std::uint64_t> prefix_;
     std::size_t size_ = 0;
@@ -73,28 +81,98 @@ private:
     std::ptrdiff_t data_ub_ = 0;
 };
 
-/// Builder used by Datatype::flat(): appends blocks, merging adjacencies.
+/// Appends blocks, merging adjacencies, and keeps the size, prefix sums,
+/// block-length range and data bounds current as it goes, so finishing the
+/// table costs no further pass over it.
 class FlatBuilder {
 public:
-    void add(std::ptrdiff_t offset, std::size_t length) {
-        if (length == 0) return;
-        if (!blocks_.empty()) {
-            FlatBlock& last = blocks_.back();
-            if (last.offset + static_cast<std::ptrdiff_t>(last.length) == offset) {
-                last.length += length;
-                return;
-            }
-        }
-        blocks_.push_back(FlatBlock{offset, length});
-        NNCOMM_CHECK_MSG(blocks_.size() <= kMaxBlocks, "datatype too fragmented to flatten");
+    /// Upper bound on the blocks to come; finish() trims what merges left
+    /// unused.
+    void reserve(std::size_t blocks) {
+        t_.blocks_.reserve(blocks);
+        t_.prefix_.reserve(blocks + 1);
     }
 
-    std::vector<FlatBlock> take() { return std::move(blocks_); }
+    /// Appends block(0) .. block(count - 1), each a FlatBlock. A block that
+    /// starts where the previous one ends extends it; empty blocks vanish.
+    /// The merge test compares each block with its predecessor's end, held
+    /// in a local, and the last block's length is stored only when its run
+    /// ends, so a merge costs one compare.
+    template <typename Block>
+    void append(std::size_t count, Block block) {
+        auto& blocks = t_.blocks_;
+        bool open = !blocks.empty();
+        std::ptrdiff_t start = open ? blocks.back().offset : 0;
+        std::ptrdiff_t end = open ? start + static_cast<std::ptrdiff_t>(blocks.back().length) : 0;
+        std::uint64_t closed = t_.size_ - (open ? blocks.back().length : 0);
+        std::ptrdiff_t lo = t_.data_lb_, hi = t_.data_ub_;
+        std::size_t shortest = t_.min_block_, longest = t_.max_block_;
+        for (std::size_t i = 0; i < count; ++i) {
+            const FlatBlock b = block(i);
+            if (b.length == 0) continue;
+            if (!open || b.offset != end) {
+                if (open) {
+                    const auto length = static_cast<std::size_t>(end - start);
+                    blocks.back().length = length;
+                    closed += length;
+                    hi = std::max(hi, end);
+                    shortest = blocks.size() == 1 ? length : std::min(shortest, length);
+                    longest = std::max(longest, length);
+                    lo = std::min(lo, b.offset);
+                    if (blocks.size() >= kMaxBlocks) [[unlikely]] too_fragmented();
+                } else {
+                    lo = b.offset;
+                    hi = b.offset;
+                    open = true;
+                }
+                t_.prefix_.push_back(closed);
+                blocks.push_back(b);
+                start = b.offset;
+            }
+            end = b.offset + static_cast<std::ptrdiff_t>(b.length);
+        }
+        if (open) {
+            blocks.back().length = static_cast<std::size_t>(end - start);
+            t_.size_ = closed + blocks.back().length;
+            hi = std::max(hi, end);
+        }
+        t_.data_lb_ = lo;
+        t_.data_ub_ = hi;
+        t_.min_block_ = shortest;
+        t_.max_block_ = longest;
+    }
+
+    void add(std::ptrdiff_t offset, std::size_t length) {
+        append(1, [=](std::size_t) { return FlatBlock{offset, length}; });
+    }
+
+    /// Totals of the blocks appended so far.
+    std::size_t size() const { return t_.size_; }
+    std::ptrdiff_t data_lb() const { return t_.data_lb_; }
+    std::ptrdiff_t data_ub() const { return t_.data_ub_; }
+
+    /// The finished table of one instance with the given extent and lower
+    /// bound, its storage trimmed to its block count.
+    FlatType finish(std::ptrdiff_t extent, std::ptrdiff_t lb) && {
+        if (!t_.blocks_.empty()) {
+            const std::size_t last = t_.blocks_.back().length;
+            t_.min_block_ = t_.blocks_.size() == 1 ? last : std::min(t_.min_block_, last);
+            t_.max_block_ = std::max(t_.max_block_, last);
+        }
+        t_.prefix_.push_back(t_.size_);
+        if (t_.blocks_.capacity() != t_.blocks_.size()) t_.blocks_.shrink_to_fit();
+        if (t_.prefix_.capacity() != t_.prefix_.size()) t_.prefix_.shrink_to_fit();
+        t_.extent_ = extent;
+        t_.lb_ = lb;
+        return std::move(t_);
+    }
 
     static constexpr std::size_t kMaxBlocks = std::size_t{1} << 27;  // 128M blocks
 
 private:
-    std::vector<FlatBlock> blocks_;
+    [[noreturn]] static void too_fragmented();
+
+    FlatType t_;
 };
 
 }  // namespace nncomm::dt

@@ -1,50 +1,13 @@
 #include "datatype/plan.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 
 #include "core/counters.hpp"
-#include "datatype/datatype.hpp"
 
 namespace nncomm::dt {
 
 namespace {
-
-std::uint64_t structural_signature(const FlatType& flat) {
-    // Word-wise hash of the full flattened structure plus extent/lb: each
-    // 64-bit word goes through a multiply-rotate-multiply step and is
-    // folded into the state, and a final avalanche spreads the last words
-    // over every bit. Every step is a bijection of the word (for a fixed
-    // state) and of the state (for a fixed word), so two block tables of
-    // equal length that differ in a single word never collide.
-    constexpr std::uint64_t k1 = 0x87c37b91114253d5ULL;
-    constexpr std::uint64_t k2 = 0x4cf5ad432745937fULL;
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    auto mix = [&h](std::uint64_t v) {
-        v *= k1;
-        v = std::rotl(v, 31);
-        v *= k2;
-        h ^= v;
-        h = std::rotl(h, 27) * 5 + 0x52dce729;
-    };
-    mix(static_cast<std::uint64_t>(flat.extent()));
-    mix(static_cast<std::uint64_t>(flat.lb()));
-    mix(flat.block_count());
-    for (const FlatBlock& b : flat.blocks()) {
-        mix(static_cast<std::uint64_t>(b.offset));
-        mix(b.length);
-    }
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-}
 
 // 2-D nested pattern: a run of `inner` blocks at constant stride `si`,
 // repeated at constant outer stride `so` (the DMDA face-exchange and
@@ -83,7 +46,6 @@ PackPlan PackPlan::compile(const FlatType& flat) {
     PackPlan p;
     p.instance_size_ = flat.size();
     p.extent_ = flat.extent();
-    p.signature_ = structural_signature(flat);
 
     const auto& blocks = flat.blocks();
     if (blocks.empty()) {
@@ -434,96 +396,6 @@ void PackPlan::unpack_range(const FlatType& flat, std::byte* base,
             return;
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// PlanCache
-
-struct PlanCache::Impl {
-    struct Key {
-        std::uint64_t sig = 0;
-        std::size_t size = 0;
-        std::ptrdiff_t extent = 0;
-        std::size_t nblocks = 0;
-        bool operator==(const Key&) const = default;
-    };
-    struct Entry {
-        Key key;
-        std::shared_ptr<const PackPlan> plan;
-    };
-
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::size_t capacity = kDefaultCapacity;
-    Stats st;
-
-    void evict_over_capacity() {
-        while (lru.size() > capacity) {
-            index.erase(lru.back().key.sig);
-            lru.pop_back();
-            ++st.evictions;
-        }
-    }
-};
-
-PlanCache& PlanCache::instance() {
-    static PlanCache cache;
-    return cache;
-}
-
-PlanCache::Impl& PlanCache::impl() const {
-    static Impl i;
-    return i;
-}
-
-std::shared_ptr<const PackPlan> PlanCache::get(const Datatype& type) {
-    const FlatType& flat = type.flat();
-    // Compile outside the lock; on a race the loser's compile is discarded.
-    auto plan = std::make_shared<const PackPlan>(PackPlan::compile(flat));
-    const Impl::Key key{plan->signature(), flat.size(), flat.extent(), flat.block_count()};
-
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lk(im.mu);
-    auto it = im.index.find(key.sig);
-    if (it != im.index.end() && it->second->key == key) {
-        ++im.st.hits;
-        im.lru.splice(im.lru.begin(), im.lru, it->second);
-        return im.lru.front().plan;
-    }
-    ++im.st.misses;
-    if (it != im.index.end()) {
-        // Signature collision with a structurally different type: replace.
-        im.lru.erase(it->second);
-        im.index.erase(it);
-    }
-    im.lru.push_front(Impl::Entry{key, plan});
-    im.index[key.sig] = im.lru.begin();
-    im.evict_over_capacity();
-    return plan;
-}
-
-PlanCache::Stats PlanCache::stats() const {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lk(im.mu);
-    Stats s = im.st;
-    s.entries = im.lru.size();
-    return s;
-}
-
-void PlanCache::reset() {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lk(im.mu);
-    im.lru.clear();
-    im.index.clear();
-    im.st = Stats{};
-}
-
-void PlanCache::set_capacity(std::size_t cap) {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lk(im.mu);
-    im.capacity = cap == 0 ? 1 : cap;
-    im.evict_over_capacity();
 }
 
 }  // namespace nncomm::dt

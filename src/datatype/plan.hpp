@@ -1,5 +1,5 @@
 // Pack plans: commit-time compilation of flattened datatypes into
-// specialized copy kernels, plus a process-wide LRU plan cache.
+// specialized copy kernels.
 //
 // The paper's measurements (§4.1, Figures 12/13) show that datatype
 // *processing* — not bytes moved — dominates nonuniform noncontiguous
@@ -23,21 +23,18 @@
 //                    copies) — still plan-driven, no per-block cursor
 //                    bookkeeping,
 //
-// and every later pack/unpack of a structurally equal type dispatches
-// straight to the kernel with O(1) positioning — no per-block cursor
-// bookkeeping and no re-classification. The SIMD kernel pair is frozen
-// into the plan at compile time (per-plan dispatch, not per-call), so the
-// hot loop carries zero CPU-feature branching. Plans are cached two ways:
-// each Datatype node memoizes its plan (Datatype::plan()), and a
-// process-wide LRU cache keyed by the flattened structural signature
-// shares one compiled plan between structurally equal types built
-// independently (e.g. the per-peer hindexed types two VecScatters plan
-// over the same index pattern).
+// and every later pack/unpack of the type dispatches straight to the
+// kernel with O(1) positioning — no per-block cursor bookkeeping and no
+// re-classification. The SIMD kernel pair is frozen into the plan at
+// compile time (per-plan dispatch, not per-call), so the hot loop carries
+// zero CPU-feature branching. Each Datatype node compiles its plan once,
+// from its own flattened table, on the first Datatype::plan() call and
+// keeps it; types built independently compile independently, since a
+// compile is one classification pass over a table the type already holds.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "datatype/cursor.hpp"
@@ -72,6 +69,7 @@ inline const char* pack_kernel_name(PackKernel k) {
 /// need as scalars plus a frozen SIMD kernel pair; the Irregular kernel
 /// walks the caller-supplied FlatType's block table, which must be the
 /// layout the plan was compiled from (or a structurally equal one).
+/// Datatype::plan() returns the one plan its node compiled.
 class PackPlan {
 public:
     /// Classifies `flat` and compiles the matching kernel.
@@ -100,21 +98,6 @@ public:
     /// True when the frozen kernel pair moves bytes through vector
     /// registers (feeds the dt_simd_* counters).
     bool vectorized() const { return kernels_.vector; }
-
-    /// 64-bit structural signature of the flattened layout: a hash of the
-    /// extent, lb, block count and every block's offset and length, one
-    /// 64-bit word per step. Contract:
-    ///  - structurally equal layouts have equal signatures, in every
-    ///    process and on every run;
-    ///  - two block tables of equal length that differ in one word (one
-    ///    block's offset or length) never share a signature, because each
-    ///    step is a bijection of both the word and the running state;
-    ///  - anything else may collide with probability about 2^-64, so the
-    ///    PlanCache key also carries size, extent and block count, and a
-    ///    colliding entry is replaced, never shared.
-    /// The value is a process-local key, not a stable format: it is not
-    /// persisted or compared across builds.
-    std::uint64_t signature() const { return signature_; }
 
     /// Gathers `out.size()` packed-stream bytes starting at stream byte
     /// `pos` of `count` instances of the layout at `base` into `out`.
@@ -153,38 +136,6 @@ private:
     std::size_t inner_blocks_ = 1;       ///< blocks per inner run (BlockedStrided)
     std::ptrdiff_t outer_stride_ = 0;    ///< distance between inner-run starts
     simd::Kernels kernels_{};            ///< frozen at compile time
-    std::uint64_t signature_ = 0;
-};
-
-/// Process-wide LRU cache of compiled plans keyed by structural signature.
-/// Shared by all ranks (threads); all operations are mutex-protected.
-class PlanCache {
-public:
-    static PlanCache& instance();
-
-    /// Returns the cached plan for `type`'s flattened layout, compiling on
-    /// miss. The returned plan is shared and immutable.
-    std::shared_ptr<const PackPlan> get(const Datatype& type);
-
-    struct Stats {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;  ///< compiles
-        std::uint64_t evictions = 0;
-        std::size_t entries = 0;
-    };
-    Stats stats() const;
-
-    /// Drops all entries and zeroes the statistics (tests).
-    void reset();
-    /// Caps the number of retained plans (least recently used evicted).
-    void set_capacity(std::size_t cap);
-
-    static constexpr std::size_t kDefaultCapacity = 256;
-
-private:
-    PlanCache() = default;
-    struct Impl;
-    Impl& impl() const;
 };
 
 }  // namespace nncomm::dt

@@ -56,9 +56,9 @@ Level active_level();
 
 /// Test hook: force the level used by subsequent select() calls (pass the
 /// detected level to restore). Plans compiled earlier keep their kernels;
-/// tests reset the PlanCache and rebuild types after forcing. Returns the
-/// level actually installed (forcing above the detected capability caps at
-/// the detected level, so a test can ask for AVX512 on any host safely).
+/// tests build fresh types after forcing. Returns the level actually
+/// installed (forcing above the detected capability caps at the detected
+/// level, so a test can ask for AVX512 on any host safely).
 Level force_level_for_test(Level level);
 /// The capability ceiling the host supports (ignores the env cap).
 Level detected_level();

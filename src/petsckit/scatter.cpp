@@ -38,20 +38,10 @@ std::vector<Plan> nonempty_peers(std::vector<Plan> by_rank) {
 }  // namespace
 
 dt::Datatype offsets_type(std::span<const Index> offsets) {
-    // One hindexed block per run of consecutive offsets: the flattened
-    // layout is the one a block per element would give (FlatBuilder merges
-    // adjacent blocks the same way), only the type tree is smaller.
-    std::vector<std::size_t> lens;
-    std::vector<std::ptrdiff_t> displs;
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        if (i > 0 && offsets[i] == offsets[i - 1] + 1) {
-            ++lens.back();
-        } else {
-            displs.push_back(static_cast<std::ptrdiff_t>(offsets[i]) * 8);
-            lens.push_back(1);
-        }
-    }
-    return dt::Datatype::hindexed(lens, displs, dt::Datatype::float64());
+    // The offsets are the element displacements as they stand: the type is
+    // born flat, and its builder merges each run of consecutive offsets
+    // into one block while it reads them.
+    return dt::Datatype::indexed_block(1, offsets, dt::Datatype::float64());
 }
 
 VecScatter::VecScatter(rt::Comm& comm, const Layout& src_layout, const IndexSet& is_src,

@@ -57,11 +57,11 @@ inline const char* scatter_backend_name(ScatterBackend b) {
     return "?";
 }
 
-/// The per-peer datatype the datatype backends move: a float64 hindexed
-/// over `offsets` (element offsets into a vector's local storage, in send
-/// order). Runs of consecutive offsets become one block each, so the type
-/// tree stays as small as the pattern allows; flat(), plan() and the packed
-/// stream equal those of one block per element.
+/// The per-peer datatype the datatype backends move: a float64
+/// indexed_block of one element per entry of `offsets` (element offsets
+/// into a vector's local storage, in send order). It is born flat, each run
+/// of consecutive offsets one block of its table, so flat(), plan() and the
+/// packed stream equal those of one block per element.
 dt::Datatype offsets_type(std::span<const Index> offsets);
 
 class ScatterRequest;

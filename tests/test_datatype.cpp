@@ -244,6 +244,51 @@ TEST(FlatType, PrefixSumsAndStats) {
     EXPECT_DOUBLE_EQ(f.avg_block_length(), 24.0);
 }
 
+TEST(FlatType, BornFlatTableIsSizedToItsBlockCount) {
+    // Indexed types over a contiguous element build their table while
+    // reading their arguments, reserving one block per argument. Merged
+    // and zero-length arguments leave fewer blocks, and the finished table
+    // keeps no storage beyond them.
+    std::vector<std::size_t> ones(1000, 1);
+    std::vector<std::ptrdiff_t> runs(1000);  // three long runs
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        runs[i] = static_cast<std::ptrdiff_t>(8 * (i < 400 ? i : i < 700 ? i + 50 : i + 90));
+    }
+    std::vector<std::size_t> lens{2, 0, 1, 3, 0};
+    std::vector<std::ptrdiff_t> displs{0, 7, 2, 9, 30};
+    std::vector<std::ptrdiff_t> blocks{0, 2, 6};
+    const std::vector<Datatype> types{
+        Datatype::hindexed(ones, runs, Datatype::float64()),
+        Datatype::indexed(lens, displs, Datatype::float64()),
+        Datatype::indexed_block(2, blocks, Datatype::int32()),
+        Datatype::hindexed({}, {}, Datatype::float64()),
+    };
+    const std::vector<std::size_t> want{3, 2, 2, 0};
+    for (std::size_t t = 0; t < types.size(); ++t) {
+        const nncomm::dt::FlatType& f = types[t].flat();
+        EXPECT_EQ(f.block_count(), want[t]) << t;
+        EXPECT_EQ(f.blocks().capacity(), f.block_count()) << t;
+        EXPECT_EQ(f.prefix_bytes().capacity(), f.block_count() + 1) << t;
+        EXPECT_EQ(f.prefix_bytes().back(), f.size()) << t;
+    }
+    EXPECT_EQ(types[0].flat().max_block_length(), 400u * 8u);
+    EXPECT_EQ(types[0].flat().min_block_length(), 300u * 8u);
+    EXPECT_EQ(types[0].flat().data_ub(), 8 * (999 + 90 + 1));
+
+    // A parent nesting a born-flat type emits from its table: two
+    // instances of {[0, 24), [72, 96)} at extent 96, where the first
+    // instance's tail merges with the second's head.
+    const Datatype pair = Datatype::contiguous(2, types[1]);
+    const auto& pb = pair.flat().blocks();
+    ASSERT_EQ(pb.size(), 3u);
+    EXPECT_EQ(pb[0].offset, 0);
+    EXPECT_EQ(pb[0].length, 24u);
+    EXPECT_EQ(pb[1].offset, 72);
+    EXPECT_EQ(pb[1].length, 48u);
+    EXPECT_EQ(pb[2].offset, 96 + 72);
+    EXPECT_EQ(pb[2].length, 24u);
+}
+
 TEST(Describe, ProducesReadableStrings) {
     auto elem = Datatype::contiguous(3, Datatype::float64());
     auto col = Datatype::vector(8, 1, 8, elem);

@@ -1,5 +1,5 @@
-// Pack-plan cache behaviour (hit/miss/LRU, kernel classification) and the
-// persistent-scatter guarantees built on top of it: steady-state
+// Pack-plan kernel classification, one compiled plan per type, and the
+// persistent-scatter guarantees built on top of them: steady-state
 // VecScatter executes through the DatatypeOptimized backend perform no
 // engine constructions and no scratch allocations, and the reverse/Add
 // execution modes the plans must not break stay correct.
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "coll/persistent.hpp"
-#include "core/rng.hpp"
 #include "datatype/plan.hpp"
 #include "petsckit/scatter.hpp"
 
@@ -17,7 +16,6 @@ namespace {
 using namespace nncomm;
 using dt::Datatype;
 using dt::PackKernel;
-using dt::PlanCache;
 using pk::Index;
 using pk::IndexSet;
 using pk::InsertMode;
@@ -89,12 +87,9 @@ TEST(PlanClassification, KernelClasses) {
 }
 
 TEST(PlanClassification, TailShapeHashesDistinctFromUniform) {
-    // The trailing-short-block layout must not alias the uniform layout in
-    // the plan cache: same leading block length and stride, different
-    // structural signature, different compiled plan.
-    auto& cache = PlanCache::instance();
-    cache.reset();
-
+    // The trailing-short-block layout must not alias the uniform layout:
+    // same leading block length and stride, but its own compiled plan with
+    // its own tail.
     std::vector<std::size_t> ulens{2, 2};
     std::vector<std::ptrdiff_t> udispls{0, 32};
     auto uniform = Datatype::hindexed(ulens, udispls, Datatype::float64());
@@ -103,109 +98,52 @@ TEST(PlanClassification, TailShapeHashesDistinctFromUniform) {
     std::vector<std::ptrdiff_t> tdispls{0, 32};
     auto tail = Datatype::hindexed(tlens, tdispls, Datatype::float64());
 
-    EXPECT_EQ(uniform.plan().kernel(), PackKernel::Strided);
-    EXPECT_EQ(tail.plan().kernel(), PackKernel::Strided);
-    EXPECT_NE(uniform.plan().signature(), tail.plan().signature());
-    EXPECT_NE(&uniform.plan(), &tail.plan());
-
-    auto st = cache.stats();
-    EXPECT_EQ(st.misses, 2u);  // two distinct compiles, no false sharing
-    EXPECT_EQ(st.hits, 0u);
+    const dt::PackPlan& up = uniform.plan();
+    const dt::PackPlan& tp = tail.plan();
+    EXPECT_NE(&up, &tp);
+    EXPECT_EQ(up.kernel(), PackKernel::Strided);
+    EXPECT_EQ(tp.kernel(), PackKernel::Strided);
+    EXPECT_EQ(up.block_length(), 16u);
+    EXPECT_EQ(tp.block_length(), 16u);
+    EXPECT_EQ(up.block_stride(), tp.block_stride());
+    EXPECT_EQ(up.tail_length(), 16u);
+    EXPECT_EQ(tp.tail_length(), 8u);
+    EXPECT_EQ(up.instance_size(), 32u);
+    EXPECT_EQ(tp.instance_size(), 24u);
 }
 
-TEST(PlanClassification, SignatureSeparatesSingleBlockChanges) {
-    // The signature contract (plan.hpp): block tables of equal length that
-    // differ in one block's offset or length never share a signature. 10^5
-    // random pairs, each differing in exactly one word.
-    Rng rng(0x519);
-    for (int pair = 0; pair < 100000; ++pair) {
-        const auto nblocks = static_cast<std::size_t>(rng.uniform_i64(1, 16));
-        std::vector<dt::FlatBlock> blocks(nblocks);
-        std::ptrdiff_t at = rng.uniform_i64(0, 64);
-        for (dt::FlatBlock& b : blocks) {
-            b.offset = at;
-            b.length = static_cast<std::size_t>(rng.uniform_i64(1, 256));
-            at += static_cast<std::ptrdiff_t>(b.length) + rng.uniform_i64(1, 128);
-        }
-        std::vector<dt::FlatBlock> changed = blocks;
-        dt::FlatBlock& b = changed[static_cast<std::size_t>(
-            rng.uniform_u64(0, nblocks - 1))];
-        const auto delta = rng.uniform_i64(1, 1 << 20);
-        if (rng.bernoulli(0.5)) {
-            b.offset += rng.bernoulli(0.5) ? delta : -delta;
-        } else {
-            b.length += static_cast<std::size_t>(delta);
-        }
-        const dt::FlatType x(blocks, at, 0);
-        const dt::FlatType y(changed, at, 0);
-        ASSERT_NE(dt::PackPlan::compile(x).signature(), dt::PackPlan::compile(y).signature())
-            << "pair " << pair;
-        if (pair % 1000 == 0) {
-            // Equal tables hash equal.
-            EXPECT_EQ(dt::PackPlan::compile(x).signature(),
-                      dt::PackPlan::compile(dt::FlatType(blocks, at, 0)).signature());
-        }
+TEST(PlanClassification, ConcurrentFirstUseCompilesOnePlan) {
+    // Rank threads share the types a plan is built over. Their first
+    // flat()/plan() calls on one type race to the node's once-flags, and
+    // every thread must get the same table and the same plan object. One
+    // born-flat type (its table exists already, only the plan compiles)
+    // and one tree-walk type (both are built on first use).
+    constexpr int kRanks = 4;
+    std::vector<std::size_t> lens{2, 1, 3, 1};
+    std::vector<std::ptrdiff_t> displs{0, 40, 88, 200};
+    const Datatype born_flat = Datatype::hindexed(lens, displs, Datatype::float64());
+    const Datatype walked = Datatype::vector(64, 2, 3, Datatype::float64());
+    std::vector<const dt::FlatType*> flats(2 * kRanks);
+    std::vector<const dt::PackPlan*> plans(2 * kRanks);
+    World w(kRanks);
+    w.run([&](Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        comm.barrier();
+        plans[2 * r] = &born_flat.plan();
+        flats[2 * r] = &born_flat.flat();
+        plans[2 * r + 1] = &walked.plan();
+        flats[2 * r + 1] = &walked.flat();
+    });
+    for (std::size_t r = 1; r < kRanks; ++r) {
+        EXPECT_EQ(plans[2 * r], plans[0]);
+        EXPECT_EQ(flats[2 * r], flats[0]);
+        EXPECT_EQ(plans[2 * r + 1], plans[1]);
+        EXPECT_EQ(flats[2 * r + 1], flats[1]);
     }
-}
-
-// ---------------------------------------------------------------------------
-// cache hit/miss and LRU
-
-TEST(PlanCacheTest, StructurallyEqualTypesShareOnePlan) {
-    auto& cache = PlanCache::instance();
-    cache.reset();
-
-    // Two independently built, structurally identical types: one compile,
-    // one hit, and literally the same plan object.
-    auto a = Datatype::vector(8, 2, 5, Datatype::float64());
-    auto b = Datatype::vector(8, 2, 5, Datatype::float64());
-    const dt::PackPlan* pa = &a.plan();
-    const dt::PackPlan* pb = &b.plan();
-    EXPECT_EQ(pa, pb);
-
-    auto st = cache.stats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.hits, 1u);
-    EXPECT_EQ(st.entries, 1u);
-
-    // A structurally different type does not hit.
-    auto c = Datatype::vector(8, 2, 6, Datatype::float64());
-    EXPECT_NE(&c.plan(), pa);
-    st = cache.stats();
-    EXPECT_EQ(st.misses, 2u);
-    EXPECT_EQ(st.entries, 2u);
-
-    // The per-node memoization absorbs repeated plan() calls: no new
-    // cache traffic.
-    (void)a.plan();
-    (void)a.plan();
-    st = cache.stats();
-    EXPECT_EQ(st.hits + st.misses, 3u);
-}
-
-TEST(PlanCacheTest, LeastRecentlyUsedIsEvicted) {
-    auto& cache = PlanCache::instance();
-    cache.reset();
-    cache.set_capacity(2);
-
-    auto mk = [](std::ptrdiff_t stride) {
-        return Datatype::vector(4, 1, stride, Datatype::float64());
-    };
-
-    (void)mk(3).plan();  // miss: {3}
-    (void)mk(5).plan();  // miss: {5, 3}
-    (void)mk(3).plan();  // hit:  {3, 5}
-    (void)mk(7).plan();  // miss, evicts 5: {7, 3}
-    (void)mk(3).plan();  // hit:  {3, 7}
-    (void)mk(5).plan();  // miss again (was evicted), evicts 7
-
-    auto st = cache.stats();
-    EXPECT_EQ(st.misses, 4u);
-    EXPECT_EQ(st.hits, 2u);
-    EXPECT_EQ(st.evictions, 2u);
-    EXPECT_EQ(st.entries, 2u);
-
-    cache.set_capacity(PlanCache::kDefaultCapacity);
+    EXPECT_EQ(plans[0]->kernel(), PackKernel::Irregular);
+    EXPECT_EQ(plans[1]->kernel(), PackKernel::Strided);
+    EXPECT_EQ(flats[0]->block_count(), 4u);
+    EXPECT_EQ(flats[1]->block_count(), 64u);
 }
 
 // ---------------------------------------------------------------------------

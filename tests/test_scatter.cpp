@@ -283,20 +283,37 @@ TEST(GatherSparse, MatchesReplicatedPlan) {
     });
 }
 
-// offsets_type coalesces runs of consecutive offsets into one hindexed
-// block each. The flattened layout, compiled plan and packed stream must be
-// exactly those of the one-block-per-element type it replaces, for every
-// shape a need list takes: contiguous runs, strides 2-4, gaps 1-9,
-// repeated and descending offsets, runs that abut across segments, a
-// single offset and the empty list.
+// offsets_type's type is born flat, merging each run of consecutive
+// offsets into one block of its table. Its flattened layout,
+// compiled kernel and packed stream must be exactly those of one block per
+// element, checked against oracles that share none of that path: the block
+// list and the gathered values computed here, and a per-element struct
+// type, which flattens by walking its type tree. Shapes: contiguous runs,
+// long contiguous runs (the multigrid patch shape), strides 2-4, gaps
+// 1-9, repeated and descending offsets, runs that abut across segments,
+// whole planes of a box, a single offset and the empty list.
 TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
-    auto per_element = [](const std::vector<Index>& offsets) {
+    auto tree_walk = [](const std::vector<Index>& offsets) {
         std::vector<std::size_t> lens(offsets.size(), 1);
         std::vector<std::ptrdiff_t> displs(offsets.size());
         for (std::size_t i = 0; i < offsets.size(); ++i) {
             displs[i] = static_cast<std::ptrdiff_t>(offsets[i]) * 8;
         }
-        return dt::Datatype::hindexed(lens, displs, dt::Datatype::float64());
+        const std::vector<dt::Datatype> types(offsets.size(), dt::Datatype::float64());
+        return dt::Datatype::struct_type(lens, displs, types);
+    };
+    auto expected_blocks = [](const std::vector<Index>& offsets) {
+        std::vector<dt::FlatBlock> blocks;
+        for (const Index o : offsets) {
+            const std::ptrdiff_t at = static_cast<std::ptrdiff_t>(o) * 8;
+            if (!blocks.empty() &&
+                blocks.back().offset + static_cast<std::ptrdiff_t>(blocks.back().length) == at) {
+                blocks.back().length += 8;
+            } else {
+                blocks.push_back({at, 8});
+            }
+        }
+        return blocks;
     };
     auto pack = [](const dt::Datatype& t, const std::vector<double>& src) {
         std::vector<std::byte> out(t.size());
@@ -307,6 +324,16 @@ TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
     };
 
     std::vector<std::vector<Index>> cases = {{}, {0}, {17}, {5, 5}, {3, 2, 1, 0}};
+    {
+        // Interior of an 8x8x8 box in a 12x12x12 array: 64 runs of 8.
+        std::vector<Index> box;
+        for (Index z = 2; z < 10; ++z) {
+            for (Index y = 2; y < 10; ++y) {
+                for (Index x = 2; x < 10; ++x) box.push_back((z * 12 + y) * 12 + x);
+            }
+        }
+        cases.push_back(std::move(box));
+    }
     Rng rng(0x5ca77e5);
     for (int trial = 0; trial < 2000; ++trial) {
         std::vector<Index> offs;
@@ -316,8 +343,8 @@ TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
             // so runs also meet across segment boundaries.
             Index at = offs.empty() || rng.bernoulli(0.5) ? rng.uniform_i64(0, 4096)
                                                           : offs.back() + 1;
-            const auto len = rng.uniform_i64(1, 64);
-            const auto kind = rng.uniform_u64(0, 4);
+            const auto kind = rng.uniform_u64(0, 5);
+            const auto len = kind == 5 ? rng.uniform_i64(64, 1024) : rng.uniform_i64(1, 64);
             const Index stride = rng.uniform_i64(2, 4);
             for (std::int64_t l = 0; l < len; ++l) {
                 offs.push_back(at);
@@ -326,7 +353,8 @@ TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
                     case 1: at += stride; break;                   // strided
                     case 2: at += rng.uniform_i64(1, 9); break;    // gaps
                     case 3: at += rng.bernoulli(0.5) ? 0 : 1; break;  // repeats
-                    default: at = std::max<Index>(0, at - rng.uniform_i64(1, 2)); break;
+                    case 4: at = std::max<Index>(0, at - rng.uniform_i64(1, 2)); break;
+                    default: at += 1; break;                       // long run
                 }
             }
         }
@@ -335,29 +363,35 @@ TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
 
     for (const std::vector<Index>& offs : cases) {
         const dt::Datatype coalesced = pk::offsets_type(offs);
-        const dt::Datatype reference = per_element(offs);
+        const dt::Datatype reference = tree_walk(offs);
+        const std::vector<dt::FlatBlock> want = expected_blocks(offs);
         const auto& cb = coalesced.flat().blocks();
-        const auto& rb = reference.flat().blocks();
-        ASSERT_EQ(cb.size(), rb.size());
+        ASSERT_EQ(cb.size(), want.size());
         for (std::size_t i = 0; i < cb.size(); ++i) {
-            EXPECT_EQ(cb[i].offset, rb[i].offset) << "block " << i;
-            EXPECT_EQ(cb[i].length, rb[i].length) << "block " << i;
+            EXPECT_EQ(cb[i].offset, want[i].offset) << "block " << i;
+            EXPECT_EQ(cb[i].length, want[i].length) << "block " << i;
         }
+        EXPECT_EQ(coalesced.flat().prefix_bytes().back(), offs.size() * 8);
         EXPECT_EQ(coalesced.block_count(), reference.block_count());
         EXPECT_EQ(coalesced.size(), reference.size());
         EXPECT_EQ(coalesced.extent(), reference.extent());
         EXPECT_EQ(coalesced.lb(), reference.lb());
-        EXPECT_EQ(coalesced.plan().signature(), reference.plan().signature());
         EXPECT_EQ(coalesced.plan().kernel(), reference.plan().kernel());
+        EXPECT_EQ(coalesced.plan().block_length(), reference.plan().block_length());
+        EXPECT_EQ(coalesced.plan().blocks_per_instance(),
+                  reference.plan().blocks_per_instance());
 
         Index hi = 0;
         for (const Index o : offs) hi = std::max(hi, o + 1);
         std::vector<double> src(static_cast<std::size_t>(hi));
         std::iota(src.begin(), src.end(), 0.5);
+        std::vector<double> gathered;
+        for (const Index o : offs) gathered.push_back(src[static_cast<std::size_t>(o)]);
         const std::vector<std::byte> a = pack(coalesced, src);
         const std::vector<std::byte> b = pack(reference, src);
         ASSERT_EQ(a.size(), offs.size() * 8);
         ASSERT_EQ(a.size(), b.size());
+        EXPECT_TRUE(a.empty() || std::memcmp(a.data(), gathered.data(), a.size()) == 0);
         EXPECT_TRUE(a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
     }
 }
