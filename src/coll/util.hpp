@@ -64,7 +64,7 @@ inline void copy_typed(const void* src, std::size_t scount, const dt::Datatype& 
         return;
     }
     auto packed = dt::pack_all(src, stype, scount);
-    dt::unpack_all(dst, rtype, rcount, packed);
+    dt::unpack_from(dst, rtype, rcount, packed);
 }
 
 /// Builds an hindexed datatype addressing recvbuf blocks `first..first+n-1`

@@ -1,43 +1,31 @@
 // MPI-style derived datatypes.
 //
 // A Datatype is an immutable description of a (possibly noncontiguous)
-// memory layout, built recursively from builtin types with the standard MPI
+// memory layout, built from builtin types with the standard MPI
 // constructors: contiguous, vector, hvector, indexed, hindexed,
 // create_indexed_block, struct, create_subarray and create_resized.
 //
-// Every type exposes
+// Every type is born flat: its constructor builds the type's stream of
+// contiguous (offset, length) blocks (flatten.hpp), which is what the pack
+// engines operate on, from its children's streams in the loop that reads
+// its arguments. The node keeps that table, which also holds
 //   size()   — number of bytes of actual data it describes,
 //   extent() — the span of memory from lower bound to upper bound that one
 //              instance occupies (used as the stride between consecutive
 //              elements in count>1 sends),
-// and can be flattened to a stream of contiguous (offset, length) blocks
-// (see flatten.hpp) which is what the pack engines operate on.
+// and no reference to its children.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace nncomm::dt {
 
 class FlatType;  // flatten.hpp
 class PackPlan;  // plan.hpp
-
-enum class TypeClass {
-    Builtin,
-    Contiguous,
-    Vector,    // element-strided; stored internally in bytes (as hvector)
-    Hvector,   // byte-strided
-    Indexed,   // element displacements
-    Hindexed,  // byte displacements
-    IndexedBlock,
-    Struct,
-    Subarray,  // lowered to hvector nest at construction; kept for printing
-    Resized,
-};
 
 namespace detail {
 struct TypeNode;
@@ -50,7 +38,7 @@ public:
     Datatype() = default;  // null type; only valid after assignment
 
     // -- builtins ----------------------------------------------------------
-    static Datatype builtin(std::size_t size, std::string name);
+    static Datatype builtin(std::size_t size);
     static Datatype byte();     ///< 1 byte
     static Datatype chars();    ///< 1 byte (MPI_CHAR)
     static Datatype int32();    ///< 4 bytes (MPI_INT)
@@ -91,24 +79,19 @@ public:
 
     // -- queries -------------------------------------------------------------
     bool valid() const { return node_ != nullptr; }
-    TypeClass type_class() const;
     /// Bytes of data described by one instance.
     std::size_t size() const;
     /// Memory span (ub - lb) of one instance; the stride for count>1.
     std::ptrdiff_t extent() const;
     /// Lower bound in bytes (normally 0; Resized can move it).
     std::ptrdiff_t lb() const;
-    /// True when one instance is a single dense block starting at lb with
-    /// length == size == extent.
+    /// True when one instance is a single dense block at offset 0 with
+    /// lb 0 and size == extent (FlatType::contiguous()).
     bool is_contiguous() const;
     /// Number of maximal contiguous blocks in one flattened instance.
     std::size_t block_count() const;
-    /// Human-readable structure (for logging/tests).
-    std::string describe() const;
 
-    /// Flattened block-stream form, held by the node: built by the
-    /// constructor of an indexed type over a contiguous element (born flat),
-    /// otherwise computed on the first call.
+    /// Flattened block-stream form, built by the type's constructor.
     const FlatType& flat() const;
 
     /// Compiled pack plan (plan.hpp): kernel classification + specialized

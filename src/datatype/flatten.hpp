@@ -1,13 +1,12 @@
 // Flattened datatype representation: a stream of maximal contiguous blocks.
 //
-// The pack engines (engine.hpp) do not walk the recursive type tree during
-// data movement; the tree is flattened once into an ordered array of
-// (offset, length) blocks for a single type instance. Indexed types over a
-// contiguous element are born flat (their constructor fills the table in
-// the loop that reads its arguments); every other type flattens on first
-// use.
-// Adjacent blocks are merged, so a "contiguous of 3 doubles" leaf becomes
-// one 24-byte block and a fully dense type becomes exactly one block.
+// The pack engines (engine.hpp) operate on an ordered array of
+// (offset, length) blocks for a single type instance. Every datatype is
+// born flat: its constructor fills this table through FlatBuilder from its
+// children's tables in the loop that reads its arguments, and no type tree
+// is kept. Adjacent blocks are merged, so a "contiguous of 3 doubles" leaf
+// becomes one 24-byte block and a fully dense type becomes exactly one
+// block.
 //
 // This mirrors what production MPI implementations do (MPICH dataloops /
 // Open MPI's opal_convertor flattened descriptions) and gives the engines a
@@ -42,16 +41,12 @@ public:
     std::size_t size() const { return size_; }          ///< total data bytes
     std::ptrdiff_t extent() const { return extent_; }   ///< instance stride
     std::ptrdiff_t lb() const { return lb_; }
-    std::size_t max_block_length() const { return max_block_; }
-    std::size_t min_block_length() const { return min_block_; }
-    /// Average contiguous-block length — the density measure the engines'
-    /// sparse/dense decision is based on.
-    double avg_block_length() const {
-        return blocks_.empty() ? 0.0
-                               : static_cast<double>(size_) / static_cast<double>(blocks_.size());
-    }
+    /// True when one instance is one dense run: no block, or one block at
+    /// offset 0, with size == extent and lb 0. The one test every dense
+    /// fast path reads.
     bool contiguous() const {
-        return blocks_.size() <= 1 && static_cast<std::ptrdiff_t>(size_) == extent_ && lb_ == 0;
+        return lb_ == 0 && static_cast<std::ptrdiff_t>(size_) == extent_ &&
+               (blocks_.empty() || (blocks_.size() == 1 && blocks_[0].offset == 0));
     }
 
     /// Lowest byte offset actually touched by one instance (<= 0 possible).
@@ -75,18 +70,16 @@ private:
     std::size_t size_ = 0;
     std::ptrdiff_t extent_ = 0;
     std::ptrdiff_t lb_ = 0;
-    std::size_t max_block_ = 0;
-    std::size_t min_block_ = 0;
     std::ptrdiff_t data_lb_ = 0;
     std::ptrdiff_t data_ub_ = 0;
 };
 
-/// Appends blocks, merging adjacencies, and keeps the size, prefix sums,
-/// block-length range and data bounds current as it goes, so finishing the
-/// table costs no further pass over it.
+/// Appends blocks, merging adjacencies, and keeps the size, prefix sums
+/// and data bounds current as it goes, so finishing the table costs no
+/// further pass over it.
 class FlatBuilder {
 public:
-    /// Upper bound on the blocks to come; finish() trims what merges left
+    /// Expected number of blocks to come; finish() trims what merges left
     /// unused.
     void reserve(std::size_t blocks) {
         t_.blocks_.reserve(blocks);
@@ -106,7 +99,6 @@ public:
         std::ptrdiff_t end = open ? start + static_cast<std::ptrdiff_t>(blocks.back().length) : 0;
         std::uint64_t closed = t_.size_ - (open ? blocks.back().length : 0);
         std::ptrdiff_t lo = t_.data_lb_, hi = t_.data_ub_;
-        std::size_t shortest = t_.min_block_, longest = t_.max_block_;
         for (std::size_t i = 0; i < count; ++i) {
             const FlatBlock b = block(i);
             if (b.length == 0) continue;
@@ -116,8 +108,6 @@ public:
                     blocks.back().length = length;
                     closed += length;
                     hi = std::max(hi, end);
-                    shortest = blocks.size() == 1 ? length : std::min(shortest, length);
-                    longest = std::max(longest, length);
                     lo = std::min(lo, b.offset);
                     if (blocks.size() >= kMaxBlocks) [[unlikely]] too_fragmented();
                 } else {
@@ -138,27 +128,19 @@ public:
         }
         t_.data_lb_ = lo;
         t_.data_ub_ = hi;
-        t_.min_block_ = shortest;
-        t_.max_block_ = longest;
     }
 
     void add(std::ptrdiff_t offset, std::size_t length) {
         append(1, [=](std::size_t) { return FlatBlock{offset, length}; });
     }
 
-    /// Totals of the blocks appended so far.
-    std::size_t size() const { return t_.size_; }
+    /// Data bounds of the blocks appended so far.
     std::ptrdiff_t data_lb() const { return t_.data_lb_; }
     std::ptrdiff_t data_ub() const { return t_.data_ub_; }
 
     /// The finished table of one instance with the given extent and lower
     /// bound, its storage trimmed to its block count.
     FlatType finish(std::ptrdiff_t extent, std::ptrdiff_t lb) && {
-        if (!t_.blocks_.empty()) {
-            const std::size_t last = t_.blocks_.back().length;
-            t_.min_block_ = t_.blocks_.size() == 1 ? last : std::min(t_.min_block_, last);
-            t_.max_block_ = std::max(t_.max_block_, last);
-        }
         t_.prefix_.push_back(t_.size_);
         if (t_.blocks_.capacity() != t_.blocks_.size()) t_.blocks_.shrink_to_fit();
         if (t_.prefix_.capacity() != t_.prefix_.size()) t_.prefix_.shrink_to_fit();

@@ -6,7 +6,7 @@
 // truth the engines AND the compiled plan kernels are validated against —
 // they deliberately never dispatch through a PackPlan.
 //
-// The whole-message entry points pack_all/unpack_all (used by the
+// The whole-message entry points pack_into/pack_all/unpack_from (used by the
 // collectives' typed self-copies and the runtime's receive side) dispatch
 // through the type's compiled plan unconditionally — every kernel class,
 // including Irregular, is plan-driven (plan.hpp); only the cursor walks
@@ -78,12 +78,6 @@ inline std::vector<std::byte> pack_all(const void* base, const Datatype& type,
     std::vector<std::byte> out(type.size() * count);
     pack_into(base, type, count, std::span<std::byte>(out));
     return out;
-}
-
-/// Vector-returning spelling kept for existing callers.
-inline void unpack_all(void* base, const Datatype& type, std::size_t count,
-                       std::span<const std::byte> in) {
-    unpack_from(base, type, count, in);
 }
 
 }  // namespace nncomm::dt

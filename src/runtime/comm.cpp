@@ -771,9 +771,7 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
     env.payload = world_->pool.acquire(total, rank_, counters_);
     counters_.rt_bytes_copied += total;  // sender-side staging copy
     const auto& flat = type.flat();
-    const bool fully_dense =
-        flat.contiguous() && static_cast<std::ptrdiff_t>(flat.size()) == flat.extent();
-    if (fully_dense) {
+    if (flat.contiguous()) {
         // Contiguous fast path: one copy onto the wire, all Comm time.
         // Copies below the timing cutoff go unclocked: two steady_clock
         // reads cost more than the copy itself and would dominate the
@@ -866,10 +864,8 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     // release-store on matched gives the bytes their happens-before edge
     // into the receiving thread.
     const auto& sflat = type.flat();
-    const bool sdense =
-        sflat.contiguous() && static_cast<std::ptrdiff_t>(sflat.size()) == sflat.extent();
-    const bool rdense =
-        rflat.contiguous() && static_cast<std::ptrdiff_t>(rflat.size()) == rflat.extent();
+    const bool sdense = sflat.contiguous();
+    const bool rdense = rflat.contiguous();
     auto* rbase = static_cast<std::byte*>(r->buf);
 
     if (sdense && rdense) {
@@ -1240,7 +1236,7 @@ RecvStatus Comm::finish_recv(RequestState& req) {
     NNCOMM_CHECK_MSG(req.env.payload.size() <= capacity, "message longer than receive buffer");
     if (!req.env.payload.empty()) {
         counters_.rt_bytes_copied += req.env.payload.size();  // receive-side copy
-        if (flat.contiguous() && static_cast<std::ptrdiff_t>(flat.size()) == flat.extent()) {
+        if (flat.contiguous()) {
             if (req.env.payload.size() >= kTimedCopyMinBytes) {
                 PhaseScope scope(timers_, Phase::Comm);
                 std::memcpy(req.buf, req.env.payload.data(), req.env.payload.size());

@@ -9,6 +9,7 @@
 #include "core/rng.hpp"
 #include "datatype/cursor.hpp"
 #include "datatype/pack.hpp"
+#include "typemap_model.hpp"
 
 namespace {
 
@@ -159,7 +160,7 @@ TEST(Pack, UnpackScattersBack) {
     auto packed = nncomm::dt::pack_all(src.data(), col, 1);
 
     std::vector<double> dst(n * n * 3, -1.0);
-    nncomm::dt::unpack_all(dst.data(), col, 1, packed);
+    nncomm::dt::unpack_from(dst.data(), col, 1, packed);
     for (std::size_t row = 0; row < n; ++row) {
         for (std::size_t k = 0; k < 3; ++k) {
             EXPECT_DOUBLE_EQ(dst[row * n * 3 + k], src[row * n * 3 + k]);
@@ -193,80 +194,51 @@ TEST(Pack, PartialPackResumesCorrectly) {
 }
 
 // Property: pack followed by unpack into a zeroed buffer reproduces exactly
-// the bytes the type covers, for randomized type trees.
+// the bytes the type covers, for randomized type trees. Coverage comes from
+// the trees' typemap models, which the flattened table must also equal.
 class PackRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
-Datatype random_type(Rng& rng, int depth) {
-    if (depth == 0) {
-        switch (rng.uniform_u64(0, 2)) {
-            case 0: return Datatype::float64();
-            case 1: return Datatype::int32();
-            default: return Datatype::byte();
-        }
-    }
-    auto child = random_type(rng, depth - 1);
-    switch (rng.uniform_u64(0, 3)) {
-        case 0:
-            return Datatype::contiguous(rng.uniform_u64(1, 4), child);
-        case 1: {
-            const std::size_t count = rng.uniform_u64(1, 5);
-            const std::size_t bl = rng.uniform_u64(1, 3);
-            const std::ptrdiff_t stride =
-                static_cast<std::ptrdiff_t>(bl + rng.uniform_u64(0, 4));
-            return Datatype::vector(count, bl, stride, child);
-        }
-        case 2: {
-            const std::size_t nb = rng.uniform_u64(1, 4);
-            std::vector<std::size_t> lens(nb);
-            std::vector<std::ptrdiff_t> displs(nb);
-            std::ptrdiff_t at = 0;
-            for (std::size_t i = 0; i < nb; ++i) {
-                lens[i] = rng.uniform_u64(1, 3);
-                displs[i] = at;
-                at += static_cast<std::ptrdiff_t>(lens[i] + rng.uniform_u64(0, 3));
-            }
-            return Datatype::indexed(lens, displs, child);
-        }
-        default:
-            return Datatype::resized(child, 0,
-                                     child.extent() + static_cast<std::ptrdiff_t>(
-                                                          rng.uniform_u64(0, 16)));
-    }
-}
-
 TEST_P(PackRoundTrip, RandomTypeTrees) {
-    Rng rng(GetParam());
-    auto t = random_type(rng, static_cast<int>(rng.uniform_u64(1, 4)));
+    const std::uint64_t seed = GetParam();
+    Rng rng(seed);
+    const nncomm::test::ModelledType mt =
+        nncomm::test::random_type(rng, static_cast<int>(rng.uniform_u64(1, 4)));
+    const Datatype& t = mt.type;
     const std::size_t count = rng.uniform_u64(1, 3);
+    ASSERT_EQ(nncomm::test::block_list(t.flat().blocks()),
+              nncomm::test::block_list(mt.model.blocks()))
+        << "seed " << seed;
+    ASSERT_GE(t.flat().data_lb(), 0) << "generator must not produce negative offsets";
 
-    // Buffer covering count instances (extents are nonnegative here).
-    const std::size_t span = static_cast<std::size_t>(t.extent()) * count + 64;
+    // Buffer covering count instances (offsets and extents are nonnegative
+    // here; resized types can touch data past their extent).
+    const std::size_t span = static_cast<std::size_t>(
+        mt.model.extent() * static_cast<std::ptrdiff_t>(count - 1) + mt.model.data_ub() + 64);
     std::vector<std::byte> src(span);
     for (std::size_t i = 0; i < span; ++i) src[i] = static_cast<std::byte>(i * 131 + 7);
 
     auto packed = nncomm::dt::pack_all(src.data(), t, count);
-    EXPECT_EQ(packed.size(), t.size() * count);
+    EXPECT_EQ(packed.size(), mt.model.size() * count);
 
     std::vector<std::byte> dst(span, std::byte{0});
-    nncomm::dt::unpack_all(dst.data(), t, count, packed);
+    nncomm::dt::unpack_from(dst.data(), t, count, packed);
 
     // Every byte the type covers must match src; the rest must stay zero.
-    // Recover coverage from the flattened form.
     std::vector<bool> covered(span, false);
     for (std::size_t rep = 0; rep < count; ++rep) {
-        for (const auto& b : t.flat().blocks()) {
+        for (const auto& e : mt.model.elems) {
             const std::ptrdiff_t base =
-                static_cast<std::ptrdiff_t>(rep) * t.extent() + b.offset;
-            for (std::size_t j = 0; j < b.length; ++j) {
+                static_cast<std::ptrdiff_t>(rep) * mt.model.extent() + e.offset;
+            for (std::size_t j = 0; j < e.length; ++j) {
                 covered[static_cast<std::size_t>(base) + j] = true;
             }
         }
     }
     for (std::size_t i = 0; i < span; ++i) {
         if (covered[i]) {
-            EXPECT_EQ(dst[i], src[i]) << "at " << i;
+            EXPECT_EQ(dst[i], src[i]) << "seed " << seed << " at " << i;
         } else {
-            EXPECT_EQ(dst[i], std::byte{0}) << "at " << i;
+            EXPECT_EQ(dst[i], std::byte{0}) << "seed " << seed << " at " << i;
         }
     }
 }

@@ -239,9 +239,6 @@ TEST(FlatType, PrefixSumsAndStats) {
     EXPECT_EQ(f.prefix_bytes().size(), 5u);
     EXPECT_EQ(f.prefix_bytes()[0], 0u);
     EXPECT_EQ(f.prefix_bytes()[4], 96u);
-    EXPECT_EQ(f.max_block_length(), 24u);
-    EXPECT_EQ(f.min_block_length(), 24u);
-    EXPECT_DOUBLE_EQ(f.avg_block_length(), 24.0);
 }
 
 TEST(FlatType, BornFlatTableIsSizedToItsBlockCount) {
@@ -271,8 +268,6 @@ TEST(FlatType, BornFlatTableIsSizedToItsBlockCount) {
         EXPECT_EQ(f.prefix_bytes().capacity(), f.block_count() + 1) << t;
         EXPECT_EQ(f.prefix_bytes().back(), f.size()) << t;
     }
-    EXPECT_EQ(types[0].flat().max_block_length(), 400u * 8u);
-    EXPECT_EQ(types[0].flat().min_block_length(), 300u * 8u);
     EXPECT_EQ(types[0].flat().data_ub(), 8 * (999 + 90 + 1));
 
     // A parent nesting a born-flat type emits from its table: two
@@ -287,15 +282,6 @@ TEST(FlatType, BornFlatTableIsSizedToItsBlockCount) {
     EXPECT_EQ(pb[1].length, 48u);
     EXPECT_EQ(pb[2].offset, 96 + 72);
     EXPECT_EQ(pb[2].length, 24u);
-}
-
-TEST(Describe, ProducesReadableStrings) {
-    auto elem = Datatype::contiguous(3, Datatype::float64());
-    auto col = Datatype::vector(8, 1, 8, elem);
-    const std::string s = col.describe();
-    EXPECT_NE(s.find("hvector"), std::string::npos);
-    EXPECT_NE(s.find("contig"), std::string::npos);
-    EXPECT_NE(s.find("float64"), std::string::npos);
 }
 
 TEST(Nesting, VectorOfVectorBlockStructure) {

@@ -114,25 +114,25 @@ TEST(PlanClassification, TailShapeHashesDistinctFromUniform) {
 
 TEST(PlanClassification, ConcurrentFirstUseCompilesOnePlan) {
     // Rank threads share the types a plan is built over. Their first
-    // flat()/plan() calls on one type race to the node's once-flags, and
-    // every thread must get the same table and the same plan object. One
-    // born-flat type (its table exists already, only the plan compiles)
-    // and one tree-walk type (both are built on first use).
+    // plan() calls on one type race to the node's once-flag, and every
+    // thread must get the same table and the same plan object. Every type
+    // is born flat, so only the plan compiles here: one irregular type and
+    // one strided type.
     constexpr int kRanks = 4;
     std::vector<std::size_t> lens{2, 1, 3, 1};
     std::vector<std::ptrdiff_t> displs{0, 40, 88, 200};
-    const Datatype born_flat = Datatype::hindexed(lens, displs, Datatype::float64());
-    const Datatype walked = Datatype::vector(64, 2, 3, Datatype::float64());
+    const Datatype irregular = Datatype::hindexed(lens, displs, Datatype::float64());
+    const Datatype strided = Datatype::vector(64, 2, 3, Datatype::float64());
     std::vector<const dt::FlatType*> flats(2 * kRanks);
     std::vector<const dt::PackPlan*> plans(2 * kRanks);
     World w(kRanks);
     w.run([&](Comm& comm) {
         const auto r = static_cast<std::size_t>(comm.rank());
         comm.barrier();
-        plans[2 * r] = &born_flat.plan();
-        flats[2 * r] = &born_flat.flat();
-        plans[2 * r + 1] = &walked.plan();
-        flats[2 * r + 1] = &walked.flat();
+        plans[2 * r] = &irregular.plan();
+        flats[2 * r] = &irregular.flat();
+        plans[2 * r + 1] = &strided.plan();
+        flats[2 * r + 1] = &strided.flat();
     });
     for (std::size_t r = 1; r < kRanks; ++r) {
         EXPECT_EQ(plans[2 * r], plans[0]);

@@ -1,18 +1,22 @@
 // Extended property tests: randomized datatype trees over the full
-// constructor set (engines vs reference packer), cross-algorithm collective
-// fuzzing, and point-to-point message storms.
+// constructor set (flattened tables vs their typemap models, engines vs
+// reference packer), flattening and dense-path regressions,
+// cross-algorithm collective fuzzing, and point-to-point message storms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <span>
 #include <vector>
 
 #include "coll/collectives.hpp"
+#include "coll/util.hpp"
 #include "core/rng.hpp"
 #include "datatype/engine.hpp"
 #include "datatype/pack.hpp"
+#include "typemap_model.hpp"
 
 namespace {
 
@@ -36,89 +40,26 @@ std::vector<std::byte> reference_pack(const void* base, const Datatype& t, std::
 // ---------------------------------------------------------------------------
 // randomized type trees over every constructor
 
-Datatype random_type_full(Rng& rng, int depth) {
-    if (depth == 0) {
-        switch (rng.uniform_u64(0, 3)) {
-            case 0: return Datatype::float64();
-            case 1: return Datatype::int32();
-            case 2: return Datatype::float32();
-            default: return Datatype::byte();
-        }
-    }
-    auto child = random_type_full(rng, depth - 1);
-    switch (rng.uniform_u64(0, 6)) {
-        case 0:
-            return Datatype::contiguous(rng.uniform_u64(1, 4), child);
-        case 1: {
-            const std::size_t count = rng.uniform_u64(1, 4);
-            const std::size_t bl = rng.uniform_u64(1, 3);
-            const std::ptrdiff_t stride =
-                static_cast<std::ptrdiff_t>(bl + rng.uniform_u64(0, 3));
-            return Datatype::vector(count, bl, stride, child);
-        }
-        case 2: {
-            const std::size_t count = rng.uniform_u64(1, 3);
-            const std::size_t bl = rng.uniform_u64(1, 2);
-            // Byte stride rounded up past the block span to avoid overlap.
-            const std::ptrdiff_t stride =
-                static_cast<std::ptrdiff_t>(bl) * child.extent() +
-                static_cast<std::ptrdiff_t>(rng.uniform_u64(0, 13));
-            return Datatype::hvector(count, bl, stride, child);
-        }
-        case 3: {
-            const std::size_t nb = rng.uniform_u64(1, 3);
-            std::vector<std::size_t> lens(nb);
-            std::vector<std::ptrdiff_t> displs(nb);
-            std::ptrdiff_t at = 0;
-            for (std::size_t i = 0; i < nb; ++i) {
-                lens[i] = rng.uniform_u64(1, 2);
-                displs[i] = at;
-                at += static_cast<std::ptrdiff_t>(lens[i] + rng.uniform_u64(0, 2));
-            }
-            return Datatype::indexed(lens, displs, child);
-        }
-        case 4: {
-            const std::size_t nb = rng.uniform_u64(1, 3);
-            std::vector<std::ptrdiff_t> displs(nb);
-            const std::size_t bl = rng.uniform_u64(1, 2);
-            for (std::size_t i = 0; i < nb; ++i) {
-                displs[i] = static_cast<std::ptrdiff_t>(i * (bl + rng.uniform_u64(0, 2)));
-            }
-            return Datatype::indexed_block(bl, displs, child);
-        }
-        case 5: {
-            // Struct over two independently random children.
-            auto other = random_type_full(rng, depth - 1);
-            std::vector<std::size_t> lens{rng.uniform_u64(1, 2), rng.uniform_u64(1, 2)};
-            const std::ptrdiff_t gap0 =
-                static_cast<std::ptrdiff_t>(lens[0]) * child.extent() - child.lb();
-            std::vector<std::ptrdiff_t> displs{
-                -child.lb(), gap0 - other.lb() + static_cast<std::ptrdiff_t>(
-                                                     rng.uniform_u64(0, 9))};
-            std::vector<Datatype> types{child, other};
-            return Datatype::struct_type(lens, displs, types);
-        }
-        default:
-            return Datatype::resized(
-                child, child.lb(),
-                child.extent() + static_cast<std::ptrdiff_t>(rng.uniform_u64(0, 11)));
-    }
-}
-
 class FullTypeTreeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FullTypeTreeProperty, EnginesMatchReferenceOnArbitraryTrees) {
-    Rng rng(GetParam() * 7919 + 13);
-    auto t = random_type_full(rng, static_cast<int>(rng.uniform_u64(1, 3)));
+    const std::uint64_t seed = GetParam();
+    Rng rng(seed * 7919 + 13);
+    const test::ModelledType mt = test::random_type(rng, static_cast<int>(rng.uniform_u64(1, 3)));
+    const Datatype& t = mt.type;
     const std::size_t count = rng.uniform_u64(1, 3);
 
+    // The table is the typemap's, in typemap order, before anything reads it.
+    ASSERT_EQ(test::block_list(t.flat().blocks()), test::block_list(mt.model.blocks()))
+        << "seed " << seed;
+    EXPECT_EQ(t.size(), mt.model.size()) << "seed " << seed;
+    EXPECT_EQ(t.lb(), mt.model.lb) << "seed " << seed;
+    EXPECT_EQ(t.extent(), mt.model.extent()) << "seed " << seed;
+
     // Size the buffer by true data bounds (resized types read past extent).
-    const auto& flat = t.flat();
-    const std::ptrdiff_t lo =
-        std::min<std::ptrdiff_t>(0, flat.data_lb());  // struct displs keep data_lb >= 0 here
-    ASSERT_GE(flat.data_lb(), 0) << "generator must not produce negative offsets";
+    ASSERT_GE(t.flat().data_lb(), 0) << "generator must not produce negative offsets";
     const std::size_t span = static_cast<std::size_t>(
-        t.extent() * static_cast<std::ptrdiff_t>(count - 1) + flat.data_ub() + 8 - lo);
+        t.extent() * static_cast<std::ptrdiff_t>(count - 1) + mt.model.data_ub() + 8);
     std::vector<std::byte> buf(span);
     for (std::size_t i = 0; i < span; ++i) {
         buf[i] = static_cast<std::byte>(rng.uniform_u64(0, 255));
@@ -141,20 +82,98 @@ TEST_P(FullTypeTreeProperty, EnginesMatchReferenceOnArbitraryTrees) {
                 out.insert(out.end(), chunk.packed.begin(), chunk.packed.end());
             }
         }
-        EXPECT_EQ(out, ref) << t.describe() << " count=" << count << " chunk="
+        EXPECT_EQ(out, ref) << "seed " << seed << " count=" << count << " chunk="
                             << cfg.pipeline_chunk;
     }
 
-    // Round trip through unpack restores the packed view (unpack_all goes
-    // through the plan when one applies; repacking with the cursor keeps
-    // the comparison anchored to the reference).
+    // Round trip through unpack restores the packed view (unpack_from goes
+    // through the plan; repacking with the cursor keeps the comparison
+    // anchored to the reference).
     std::vector<std::byte> buf2(span, std::byte{0});
-    dt::unpack_all(buf2.data(), t, count, ref);
+    dt::unpack_from(buf2.data(), t, count, ref);
     auto repacked = reference_pack(buf2.data(), t, count);
     EXPECT_EQ(repacked, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FullTypeTreeProperty, ::testing::Range<std::uint64_t>(1, 61));
+
+// ---------------------------------------------------------------------------
+// flattening and dense-path regressions
+
+// A child whose size equals its extent at lb 0 is not dense when its
+// elements run out of order: nesting it keeps each instance's typemap order.
+TEST(FlatRegression, NestedOutOfOrderHindexedKeepsTypemapOrder) {
+    const std::vector<std::size_t> ones{1, 1};
+    const std::vector<std::ptrdiff_t> swapped_at{8, 0};
+    const Datatype swapped = Datatype::hindexed(ones, swapped_at, Datatype::float64());
+    EXPECT_FALSE(swapped.is_contiguous());
+    using test::BlockList;
+
+    const Datatype pair = Datatype::contiguous(2, swapped);
+    EXPECT_EQ(test::block_list(pair.flat().blocks()),
+              (BlockList{{8, 8}, {0, 8}, {24, 8}, {16, 8}}));
+    const std::vector<std::ptrdiff_t> backwards{1, 0};
+    const Datatype reversed = Datatype::indexed(ones, backwards, swapped);
+    EXPECT_EQ(test::block_list(reversed.flat().blocks()),
+              (BlockList{{24, 8}, {16, 8}, {8, 8}, {0, 8}}));
+
+    const std::vector<double> src{0, 1, 2, 3};
+    std::vector<double> out(4);
+    dt::pack_into(src.data(), pair, 1, std::as_writable_bytes(std::span(out)));
+    EXPECT_EQ(out, (std::vector<double>{1, 0, 3, 2}));
+    dt::pack_into(src.data(), reversed, 1, std::as_writable_bytes(std::span(out)));
+    EXPECT_EQ(out, (std::vector<double>{3, 2, 1, 0}));
+}
+
+// One double at byte 8 of an instance whose bounds are [0, 8): its one
+// block is as long as the extent but starts past the lower bound, so no
+// path may take it for a dense run at the buffer base. Every path must move
+// the 2, not the 1.
+TEST(FlatRegression, DisplacedDoubleMovesFromItsOffset) {
+    const std::vector<std::size_t> one{1};
+    const std::vector<std::ptrdiff_t> at8{8};
+    const Datatype shifted =
+        Datatype::resized(Datatype::hindexed(one, at8, Datatype::float64()), 0, 8);
+    EXPECT_FALSE(shifted.is_contiguous());
+    EXPECT_FALSE(shifted.flat().contiguous());
+    const std::vector<double> src{1, 2};
+
+    double packed = 0;
+    dt::pack_into(src.data(), shifted, 1, std::as_writable_bytes(std::span(&packed, 1)));
+    EXPECT_EQ(packed, 2.0);
+
+    // Point to point: the sender packs from and the receiver unpacks into
+    // the shifted layout, eagerly and by rendezvous into a posted receive.
+    constexpr int kData = 7, kToken = 8;
+    for (const std::size_t threshold : {SIZE_MAX, std::size_t{0}}) {
+        std::uint64_t zero_copy = 0;  // the sender's count
+        std::vector<double> dst{0, 0};
+        World w(2);
+        w.run([&](Comm& c) {
+            c.set_rendezvous_threshold(threshold);
+            int token = 0;
+            if (c.rank() == 1) {
+                rt::Request r = c.irecv(dst.data(), 1, shifted, 0, kData);
+                c.send_n(&token, 1, 0, kToken);  // the receive is posted
+                c.wait(r);
+            } else {
+                c.recv_n(&token, 1, 1, kToken);
+                c.send(src.data(), 1, shifted, 1, kData);
+                zero_copy = c.counters().rt_zero_copy_msgs;
+            }
+        });
+        EXPECT_EQ(dst, (std::vector<double>{0, 2})) << "threshold " << threshold;
+        EXPECT_EQ(zero_copy, threshold == 0 ? 1u : 0u) << "threshold " << threshold;
+    }
+
+    // The alltoallw self copy, into the same layout and into a dense one.
+    std::vector<double> dst{0, 0};
+    coll::detail::copy_typed(src.data(), 1, shifted, dst.data(), 1, shifted);
+    EXPECT_EQ(dst, (std::vector<double>{0, 2}));
+    double dense = 0;
+    coll::detail::copy_typed(src.data(), 1, shifted, &dense, 1, Datatype::float64());
+    EXPECT_EQ(dense, 2.0);
+}
 
 // ---------------------------------------------------------------------------
 // compiled plan kernels vs the reference packer
@@ -212,7 +231,7 @@ TEST_P(PlanKernelProperty, KernelsAreByteIdenticalToReference) {
 
     const dt::PackPlan& plan = t.plan();
     if (must_specialize) {
-        EXPECT_TRUE(plan.specialized()) << t.describe();
+        EXPECT_TRUE(plan.specialized()) << "seed " << GetParam();
     }
 
     const auto& flat = t.flat();
@@ -229,7 +248,8 @@ TEST_P(PlanKernelProperty, KernelsAreByteIdenticalToReference) {
     // Whole-message pack.
     std::vector<std::byte> out(ref.size());
     plan.pack(flat, buf.data(), count, std::span<std::byte>(out));
-    EXPECT_EQ(out, ref) << t.describe() << " kernel=" << dt::pack_kernel_name(plan.kernel());
+    EXPECT_EQ(out, ref) << "seed " << GetParam()
+                        << " kernel=" << dt::pack_kernel_name(plan.kernel());
 
     // Random windows: the O(1) stream positioning agrees with stream
     // slices at arbitrary (pos, len), including mid-block entry and exit.
@@ -240,7 +260,7 @@ TEST_P(PlanKernelProperty, KernelsAreByteIdenticalToReference) {
         plan.pack_range(flat, buf.data(), count, pos, std::span<std::byte>(window));
         EXPECT_TRUE(std::equal(window.begin(), window.end(),
                                ref.begin() + static_cast<std::ptrdiff_t>(pos)))
-            << t.describe() << " pos=" << pos << " len=" << len;
+            << "seed " << GetParam() << " pos=" << pos << " len=" << len;
     }
 
     // Unpack inverts pack: scatter the reference stream into a clean

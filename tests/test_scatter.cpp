@@ -288,12 +288,12 @@ TEST(GatherSparse, MatchesReplicatedPlan) {
 // compiled kernel and packed stream must be exactly those of one block per
 // element, checked against oracles that share none of that path: the block
 // list and the gathered values computed here, and a per-element struct
-// type, which flattens by walking its type tree. Shapes: contiguous runs,
+// type, which appends its fields one at a time. Shapes: contiguous runs,
 // long contiguous runs (the multigrid patch shape), strides 2-4, gaps
 // 1-9, repeated and descending offsets, runs that abut across segments,
 // whole planes of a box, a single offset and the empty list.
 TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
-    auto tree_walk = [](const std::vector<Index>& offsets) {
+    auto per_element = [](const std::vector<Index>& offsets) {
         std::vector<std::size_t> lens(offsets.size(), 1);
         std::vector<std::ptrdiff_t> displs(offsets.size());
         for (std::size_t i = 0; i < offsets.size(); ++i) {
@@ -363,7 +363,7 @@ TEST(GatherSparse, CoalescedOffsetsTypeMatchesPerElementType) {
 
     for (const std::vector<Index>& offs : cases) {
         const dt::Datatype coalesced = pk::offsets_type(offs);
-        const dt::Datatype reference = tree_walk(offs);
+        const dt::Datatype reference = per_element(offs);
         const std::vector<dt::FlatBlock> want = expected_blocks(offs);
         const auto& cb = coalesced.flat().blocks();
         ASSERT_EQ(cb.size(), want.size());
