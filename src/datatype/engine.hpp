@@ -52,12 +52,22 @@ struct EngineConfig {
     /// A chunk whose average contiguous-block length (bytes) is at least
     /// this is dense and is sent directly without packing.
     double density_threshold = 256.0;
-    /// When true (default) the engines dispatch chunks of types whose
-    /// compiled PackPlan is specialized (contiguous / constant-stride)
-    /// through the plan kernels instead of walking the cursor. Irregular
-    /// types always take the engine's own path — which is where the
-    /// baseline's quadratic re-search and the dual-context look-ahead
-    /// live, so the paper's measured behaviours are unaffected.
+    /// When true (default) the runtime moves noncontiguous layouts through
+    /// the type's compiled PackPlan kernel where it can; false walks the
+    /// cursor at every site that reads this flag. The sites:
+    ///   - Comm::try_rendezvous's gather (noncontiguous sender, dense
+    ///     receiver) and every receive-side unpack (the rendezvous scatters
+    ///     and Comm::finish_recv's eager unpack) run the plan kernel for
+    ///     every class, Irregular included.
+    ///   - The engines' own chunk loop runs the plan kernel only for
+    ///     specialized plans (contiguous / constant-stride). So the
+    ///     buffered-eager pack (Comm::pack_envelope) and the sender of a
+    ///     rendezvous with both sides noncontiguous walk Irregular layouts
+    ///     through the cursor engine, where the baseline's quadratic
+    ///     re-search and the dual-context look-ahead live.
+    ///   - The schedule's Pack/Put ops do not read the flag: specialized
+    ///     plans run the kernel, Irregular layouts a persistent cursor
+    ///     engine. Its Unpack ops always run the plan kernel.
     bool enable_plan_fastpath = true;
 
     bool operator==(const EngineConfig&) const = default;

@@ -202,6 +202,31 @@ Index DMDA::global_index(Index i, Index j, Index k, int c) const {
     return layout_->range(rank).begin + within;
 }
 
+void DMDA::append_global_indices(const GridBox& box, std::vector<Index>& out) const {
+    NNCOMM_CHECK_MSG(box.xm >= 0 && box.ym >= 0 && box.zm >= 0,
+                     "append_global_indices: negative box extent");
+    if (box.volume() == 0) return;
+    NNCOMM_CHECK_MSG((GridBox{0, size_.m, 0, size_.n, 0, size_.p}.covers(box)),
+                     "append_global_indices: box outside the grid");
+    std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(box.volume()));
+    const Index x_end = box.xs + box.xm;
+    for (Index k = box.zs; k < box.zs + box.zm; ++k) {
+        const int rcz = owner_of(k, size_.p, pz_);
+        for (Index j = box.ys; j < box.ys + box.ym; ++j) {
+            const int rcy = owner_of(j, size_.n, py_);
+            for (Index i = box.xs; i < x_end;) {
+                const int rank = owner_of(i, size_.m, px_) + px_ * (rcy + py_ * rcz);
+                const GridBox b = owned_box_of(rank);
+                const Index run_end = std::min(x_end, b.xs + b.xm);
+                Index g = layout_->range(rank).begin +
+                          (((k - b.zs) * b.ym + (j - b.ys)) * b.xm + (i - b.xs)) * dof_;
+                for (; i < run_end; ++i, g += dof_) out[at++] = g;
+            }
+        }
+    }
+}
+
 Index DMDA::local_index(Index i, Index j, Index k, int c) const {
     NNCOMM_CHECK_MSG(ghosted_.contains(i, j, k) && c >= 0 && c < dof_,
                      "local_index: point outside the ghosted box");

@@ -146,6 +146,12 @@ public:
     /// Global (PETSc-ordering) vector index of grid point (i, j, k),
     /// component c. Works for any point in the domain, owned or not.
     Index global_index(Index i, Index j, Index k, int c = 0) const;
+    /// Appends the global index of component 0 of every point of `box` to
+    /// `out`, x fastest, then y, then z: global_index over the box's points
+    /// in that order. A row is consecutive within each owner's x-range, so
+    /// it costs one owner lookup per owner range it crosses. Throws unless
+    /// the box lies in the grid; an empty box appends nothing.
+    void append_global_indices(const GridBox& box, std::vector<Index>& out) const;
     /// Index into this rank's ghosted storage (point must lie in ghosted()).
     Index local_index(Index i, Index j, Index k, int c = 0) const;
     bool owns(Index i, Index j, Index k) const { return owned_.contains(i, j, k); }

@@ -7,37 +7,19 @@ namespace nncomm::pk {
 PatchGather::PatchGather(const DMDA& source, const GridBox& patch) : patch_(patch) {
     NNCOMM_CHECK_MSG(source.dof() == 1, "PatchGather: dof must be 1");
     rt::Comm& comm = source.comm();
-    const int n = comm.size();
 
-    // Exchange every rank's patch box so all ranks build the same
-    // replicated index sets.
-    std::array<Index, 6> mine{patch.xs, patch.xm, patch.ys, patch.ym, patch.zs, patch.zm};
-    std::vector<Index> all(static_cast<std::size_t>(n) * 6);
-    coll::allgather(comm, mine.data(), sizeof(mine), dt::Datatype::byte(), all.data(),
+    // This rank's own needs, in patch order; only the volumes are shared.
+    std::vector<Index> needed;
+    source.append_global_indices(patch, needed);
+    const auto mine = static_cast<Index>(needed.size());
+    std::vector<Index> counts(static_cast<std::size_t>(comm.size()));
+    coll::allgather(comm, &mine, sizeof(mine), dt::Datatype::byte(), counts.data(),
                     sizeof(mine), dt::Datatype::byte());
-
-    std::vector<Index> src_idx;
-    std::vector<Index> counts(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-        const auto base = static_cast<std::size_t>(r) * 6;
-        const GridBox b{all[base], all[base + 1], all[base + 2],
-                        all[base + 3], all[base + 4], all[base + 5]};
-        counts[static_cast<std::size_t>(r)] = b.volume();
-        for (Index k = b.zs; k < b.zs + b.zm; ++k) {
-            for (Index j = b.ys; j < b.ys + b.ym; ++j) {
-                for (Index i = b.xs; i < b.xs + b.xm; ++i) {
-                    src_idx.push_back(source.global_index(i, j, k));
-                }
-            }
-        }
-    }
-    const auto total = static_cast<Index>(src_idx.size());
 
     auto dest_layout = std::make_shared<const Layout>(Layout::from_counts(counts));
     dest_ = Vec(comm, dest_layout);
-    scatter_ = std::make_unique<VecScatter>(comm, *source.layout(),
-                                            IndexSet::general(std::move(src_idx)),
-                                            *dest_layout, IndexSet::identity(total));
+    scatter_ = std::make_unique<VecScatter>(
+        VecScatter::gather_sparse(comm, *source.layout(), needed, *dest_layout));
 }
 
 void PatchGather::gather(const Vec& src, ScatterBackend backend) {

@@ -10,8 +10,13 @@
 // same hand-tuned / datatype-baseline / datatype-optimized backends the
 // paper compares).
 //
-// Planning is collective: the per-rank patch boxes are allgathered so the
-// replicated index sets can be constructed identically on every rank.
+// Planning is collective, and each rank plans from its own patch only: it
+// lists its patch's global indices row by row (DMDA::append_global_indices)
+// and hands them to VecScatter::gather_sparse, whose NBX exchange tells
+// each owner what it serves. The one replicated datum is every rank's
+// patch volume (one allgathered Index each), which sizes the gathered
+// vector's layout. No rank lists another rank's patch, and the plan equals
+// the one replicated index sets over all patches would give.
 #pragma once
 
 #include <memory>
@@ -37,8 +42,8 @@ public:
     /// then z.
     std::span<const double> values() const { return dest_.local(); }
 
-    /// Aggregate bytes this rank sends during one gather (netsim bridge).
-    const std::vector<std::uint64_t>& send_bytes() const { return scatter_->send_bytes(); }
+    /// The scatter that runs the gather (per-peer traffic introspection).
+    const VecScatter& scatter() const { return *scatter_; }
 
 private:
     GridBox patch_;

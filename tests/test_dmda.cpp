@@ -10,6 +10,7 @@
 #include <numeric>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "petsckit/dmda.hpp"
 
 namespace {
@@ -97,6 +98,79 @@ TEST(Dmda, GlobalIndexBijective) {
                 }
             }
         }
+    });
+}
+
+// append_global_indices lists a box row by row, one owner lookup per owner
+// range a row crosses; it must equal global_index point by point. Random
+// boxes over uneven process grids, the whole grid (every row crosses every
+// owner's x-range), empty boxes (nothing appended, earlier entries kept)
+// and dof 2 (component 0 of each point).
+TEST(Dmda, AppendGlobalIndicesMatchesPerPointGlobalIndex) {
+    struct Case {
+        int dim;
+        GridSize size;
+        int nranks;
+        int dof;
+    };
+    const Case cases[] = {
+        {1, {65, 1, 1}, 1, 1}, {1, {65, 1, 1}, 7, 1}, {1, {9, 1, 1}, 3, 2},
+        {2, {65, 9, 1}, 5, 1}, {2, {9, 9, 1}, 6, 1},  {2, {33, 9, 1}, 4, 2},
+        {3, {9, 9, 9}, 8, 1},  {3, {65, 9, 9}, 3, 1}, {3, {17, 9, 9}, 6, 2},
+        {3, {9, 9, 9}, 7, 1},
+    };
+    for (const Case& tc : cases) {
+        World w(tc.nranks);
+        w.run([&](Comm& c) {
+            DMDA da(c, tc.dim, tc.size, tc.dof, 1, Stencil::Star);
+            const GridSize g = tc.size;
+            auto check = [&](const GridBox& b) {
+                std::vector<Index> want{-7};
+                for (Index k = b.zs; k < b.zs + b.zm; ++k) {
+                    for (Index j = b.ys; j < b.ys + b.ym; ++j) {
+                        for (Index i = b.xs; i < b.xs + b.xm; ++i) {
+                            want.push_back(da.global_index(i, j, k));
+                        }
+                    }
+                }
+                std::vector<Index> got{-7};
+                da.append_global_indices(b, got);
+                EXPECT_EQ(got, want) << "dim " << tc.dim << ", " << tc.nranks << " ranks, box ("
+                                     << b.xs << "+" << b.xm << ", " << b.ys << "+" << b.ym
+                                     << ", " << b.zs << "+" << b.zm << ")";
+            };
+            check(GridBox{0, g.m, 0, g.n, 0, g.p});
+            check(GridBox{0, 0, 0, g.n, 0, g.p});
+            check(GridBox{g.m - 1, 1, 0, 0, 0, g.p});
+            Rng rng(static_cast<std::uint64_t>(31 * tc.nranks + tc.dim + 1000 * c.rank()));
+            auto axis = [&](Index extent, Index& s, Index& m) {
+                s = rng.uniform_i64(0, extent - 1);
+                m = rng.uniform_i64(1, extent - s);
+            };
+            for (int t = 0; t < 40; ++t) {
+                GridBox b;
+                axis(g.m, b.xs, b.xm);
+                axis(g.n, b.ys, b.ym);
+                axis(g.p, b.zs, b.zm);
+                check(b);
+            }
+        });
+    }
+}
+
+TEST(Dmda, AppendGlobalIndicesRejectsBoxOutsideGrid) {
+    World w(2);
+    w.run([](Comm& c) {
+        DMDA da(c, 3, GridSize{9, 7, 5}, 1, 1, Stencil::Star);
+        const GridBox outside[] = {
+            {-1, 2, 0, 1, 0, 1}, {8, 2, 0, 1, 0, 1}, {0, 1, -1, 1, 0, 1}, {0, 1, 6, 2, 0, 1},
+            {0, 1, 0, 1, -1, 1}, {0, 1, 0, 1, 5, 1}, {0, 1, 0, -1, 0, -1},
+        };
+        std::vector<Index> out;
+        for (const GridBox& b : outside) {
+            EXPECT_THROW(da.append_global_indices(b, out), nncomm::Error);
+        }
+        EXPECT_TRUE(out.empty());
     });
 }
 

@@ -1,7 +1,8 @@
 // Tests for the geometric multigrid solver: hierarchy construction,
 // V-cycle contraction, full solves in 1/2/3-D, backend equivalence, pinned
-// bits and caller storage across smoother and cycle variants, and use as
-// the paper's §5.5 application (3-D Laplacian, three levels).
+// bits and caller storage across smoother and cycle variants, use as the
+// paper's §5.5 application (3-D Laplacian, three levels), and the
+// PatchGather transfers planned from each rank's own patch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "petsckit/mg.hpp"
 
 namespace {
@@ -493,6 +495,145 @@ TEST(Mg, RedundantCoarseSolveRejectsTooLargeGrid) {
         MGSolver mg(c, 3, GridSize{33, 33, 33}, cfg);  // 17³ coarsest: 15³ unknowns, 6 MiB
         EXPECT_EQ(mg.num_levels(), 2);
     });
+}
+
+// ---------------------------------------------------------------------------
+// PatchGather: each rank plans from its own patch
+
+struct PatchCase {
+    int dim;
+    GridSize size;
+    int nranks;
+};
+
+// 1-8 ranks with uneven splits: odd extents (65, 9) over 3, 5, 6 and 7
+// ranks among them.
+constexpr PatchCase kPatchCases[] = {
+    {1, {65, 1, 1}, 1}, {1, {65, 1, 1}, 3}, {1, {65, 1, 1}, 7}, {2, {65, 9, 1}, 2},
+    {2, {65, 9, 1}, 5}, {2, {9, 9, 1}, 6},  {3, {9, 9, 9}, 4},  {3, {65, 9, 9}, 6},
+    {3, {9, 9, 9}, 7},  {3, {9, 9, 9}, 8},
+};
+
+constexpr ScatterBackend kPatchBackends[] = {ScatterBackend::HandTuned,
+                                             ScatterBackend::DatatypeBaseline,
+                                             ScatterBackend::DatatypeOptimized};
+
+// Rank r's patch, computable on every rank: a seeded random box, except
+// that rank 0 takes whole x-rows (so its rows cross every owner's x-range)
+// and the last rank of a multi-rank run takes nothing.
+pk::GridBox patch_of(const PatchCase& tc, int r) {
+    pk::GridBox b;
+    if (tc.nranks > 1 && r == tc.nranks - 1) {
+        b.xm = 0;
+        return b;
+    }
+    Rng rng(static_cast<std::uint64_t>(100 * tc.nranks + 10 * tc.dim + r));
+    auto axis = [&](Index extent, Index& s, Index& m) {
+        s = rng.uniform_i64(0, extent - 1);
+        m = rng.uniform_i64(1, extent - s);
+    };
+    axis(tc.size.m, b.xs, b.xm);
+    axis(tc.size.n, b.ys, b.ym);
+    axis(tc.size.p, b.zs, b.zm);
+    if (r == 0) {
+        b.xs = 0;
+        b.xm = tc.size.m;
+    }
+    return b;
+}
+
+// The value the source vector holds at grid point (i, j, k): exact in a
+// double and distinct per point.
+double point_value(Index i, Index j, Index k) {
+    return static_cast<double>(i + 1000 * j + 1000000 * k);
+}
+
+// The own-patch plan must equal, peer by peer, the plan of a replicated
+// VecScatter built here from every rank's full patch list, one
+// global_index per point: an oracle that shares none of PatchGather's
+// planning path.
+TEST(PatchGather, OwnPatchPlanMatchesReplicatedIndexLists) {
+    for (const PatchCase& tc : kPatchCases) {
+        World w(tc.nranks);
+        w.run([&](Comm& c) {
+            pk::DMDA da(c, tc.dim, tc.size, 1, 1, pk::Stencil::Star);
+            pk::PatchGather pg(da, patch_of(tc, c.rank()));
+
+            std::vector<Index> all, counts;
+            for (int r = 0; r < c.size(); ++r) {
+                const pk::GridBox b = patch_of(tc, r);
+                counts.push_back(b.volume());
+                for (Index k = b.zs; k < b.zs + b.zm; ++k) {
+                    for (Index j = b.ys; j < b.ys + b.ym; ++j) {
+                        for (Index i = b.xs; i < b.xs + b.xm; ++i) {
+                            all.push_back(da.global_index(i, j, k));
+                        }
+                    }
+                }
+            }
+            const auto total = static_cast<Index>(all.size());
+            pk::VecScatter repl(c, *da.layout(), pk::IndexSet::general(std::move(all)),
+                                pk::Layout::from_counts(counts),
+                                pk::IndexSet::identity(total));
+
+            const pk::VecScatter& own = pg.scatter();
+            const std::string where = "dim " + std::to_string(tc.dim) + ", " +
+                                      std::to_string(tc.nranks) + " ranks, rank " +
+                                      std::to_string(c.rank());
+            EXPECT_EQ(own.send_bytes(), repl.send_bytes()) << where;
+            EXPECT_EQ(own.send_blocks(), repl.send_blocks()) << where;
+            EXPECT_EQ(own.local_moves(), repl.local_moves()) << where;
+        });
+    }
+}
+
+// Every backend gathers what a direct read of the global vector gives:
+// the source holds point_value at each grid point (filled through the owned
+// box, not global_index), and values() must list the patch's points x
+// fastest. The empty patch gathers nothing.
+TEST(PatchGather, GatheredValuesEqualTheGlobalVector) {
+    for (const PatchCase& tc : kPatchCases) {
+        World w(tc.nranks);
+        w.run([&](Comm& c) {
+            pk::DMDA da(c, tc.dim, tc.size, 1, 1, pk::Stencil::Star);
+            const pk::GridBox mine = patch_of(tc, c.rank());
+            pk::PatchGather pg(da, mine);
+
+            Vec src = da.create_global();
+            const pk::GridBox& o = da.owned();
+            double* s = src.data();
+            for (Index k = o.zs; k < o.zs + o.zm; ++k) {
+                for (Index j = o.ys; j < o.ys + o.ym; ++j) {
+                    for (Index i = o.xs; i < o.xs + o.xm; ++i) *s++ = point_value(i, j, k);
+                }
+            }
+
+            // Every rank runs every gather, mismatch or not: a rank that left
+            // the loop early would strand its peers in the next collective.
+            for (ScatterBackend backend : kPatchBackends) {
+                pg.gather(src, backend);
+                const auto v = pg.values();
+                EXPECT_EQ(static_cast<Index>(v.size()), mine.volume());
+                if (static_cast<Index>(v.size()) != mine.volume()) continue;
+                std::size_t t = 0, wrong = 0;
+                std::string first;
+                for (Index k = mine.zs; k < mine.zs + mine.zm; ++k) {
+                    for (Index j = mine.ys; j < mine.ys + mine.ym; ++j) {
+                        for (Index i = mine.xs; i < mine.xs + mine.xm; ++i, ++t) {
+                            if (v[t] == point_value(i, j, k)) continue;
+                            if (wrong++ == 0) {
+                                first = "(" + std::to_string(i) + ", " + std::to_string(j) +
+                                        ", " + std::to_string(k) + ")";
+                            }
+                        }
+                    }
+                }
+                EXPECT_EQ(wrong, 0u) << pk::scatter_backend_name(backend) << ", dim "
+                                     << tc.dim << ", " << tc.nranks << " ranks, rank "
+                                     << c.rank() << ", first wrong point " << first;
+            }
+        });
+    }
 }
 
 }  // namespace
